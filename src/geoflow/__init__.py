@@ -16,12 +16,12 @@ from .geometry import (GeometryError, VectorField, ControlSystem,
                        lie_bracket, aux_frame_at, divergence,
                        frame_determinant, load_structure,
                        structure_from_dict)
-from .hamiltonian import (IntegrationError, flow, flow_many,
-                          transition, vertical_jacobian, signed_log_det,
-                          volume_ratio, log_volume_ratio)
-from .flag import (FlagError, GeodesicFlag, flag_at, growth_vector,
-                   geodesic_dimension, homogeneous_weight, young_diagram,
-                   leading_constant, equiregular_on, admissible_extension)
+from .hamiltonian import (IntegrationError, Geodesic, flow, transition,
+                          vertical_jacobian, signed_log_det, volume_ratio,
+                          log_volume_ratio)
+from .flag import (FlagError, GeodesicFlag, flag_at, geodesic_dimension,
+                   homogeneous_weight, young_diagram, leading_constant,
+                   equiregular_on, admissible_extension)
 from .rho import (RhoError, rho_flow, rho_along, g_rel, gram_dets,
                   log_volume_ratios, scaling_checks,
                   riemannian_rho_field, riemannian_divergence_check)
@@ -42,11 +42,10 @@ __all__ = [
     "GeometryError", "VectorField", "ControlSystem", "lie_bracket",
     "aux_frame_at", "divergence", "frame_determinant", "load_structure",
     "structure_from_dict",
-    "IntegrationError", "flow", "flow_many", "transition",
+    "IntegrationError", "Geodesic", "flow", "transition",
     "vertical_jacobian", "signed_log_det", "volume_ratio",
     "log_volume_ratio",
-    "FlagError", "GeodesicFlag", "flag_at", "growth_vector",
-    "geodesic_dimension", "homogeneous_weight", "young_diagram",
+    "FlagError", "GeodesicFlag", "flag_at", "geodesic_dimension", "homogeneous_weight", "young_diagram",
     "leading_constant", "equiregular_on", "admissible_extension",
     "RhoError", "rho_flow", "rho_along", "g_rel", "gram_dets",
     "log_volume_ratios", "scaling_checks", "riemannian_rho_field",

@@ -9,6 +9,11 @@ diagram constant and trR a curvature trace.  This module measures the
 left side along an integrated geodesic, strips the three known factors,
 and least-squares fits what remains to recover C and trR.
 
+rho is the derivative of the Gram scalar G along the geodesic (see
+geoflow.rho), so the factor exp(int_0^t rho) is read exactly as
+exp(G(t) - G(0)) at each sample time, with no quadrature.  Every time the
+fit needs comes from one Geodesic, integrated once per sign of time.
+
 The chart ratio r(t) = m(gamma(t)) |det J_v(t)| / m(x0) carries one
 structure-dependent constant beyond the canonical one: measuring the
 vertical Jacobian against raw coordinate fiber directions instead of the
@@ -17,8 +22,9 @@ symbol-adapted basis multiplies the leading coefficient by
     prod_i det M_i(0) / m(x0)^2,
 
 the squared volume of the canonical parallelotope at the base covector
-over the squared density.  fit_expansion subtracts that offset, so the
-fitted constant lands directly on the Young diagram value.
+over the squared density, i.e. exp(2 G(0)) / m(x0)^2.  fit_expansion
+subtracts that offset, so the fitted constant lands directly on the
+Young diagram value.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ from . import hamiltonian as ham
 from . import rho as rh
 
 __all__ = [
-    "AsymptoticsError", "ExpansionFit", "fit_expansion", "exponent_probe",
-    "ricci_oracle", "fit_report", "write_fit_csv",
+    "AsymptoticsError", "ExpansionFit", "fit_times", "fit_expansion_from",
+    "fit_expansion", "exponent_probe_times", "exponent_probe_from",
+    "exponent_probe", "ricci_oracle", "fit_report", "write_fit_csv",
 ]
 
 
@@ -43,45 +50,6 @@ class AsymptoticsError(RuntimeError):
     def __init__(self, message, residuals=None):
         super().__init__(message)
         self.residuals = residuals
-
-
-INTEGRAL_NODES = 17
-
-
-def _rho_antiderivative(sys, x0, p0, t_hi, nodes=INTEGRAL_NODES, tol=ham.DEFAULT_TOL):
-    """Cumulative integral of rho(lambda(s)) on [0, t_hi] from re-based
-    point evaluations: composite Simpson on a uniform grid for the node
-    values, cubic Hermite in between (the integrand is the derivative of
-    the antiderivative, so both endpoint slopes are known exactly).
-
-    Returns (callable R(t), node times, node rho values)."""
-    if nodes < 3 or nodes % 2 == 0:
-        raise AsymptoticsError("the Simpson grid needs an odd node count")
-    ts = np.linspace(0.0, t_hi, nodes)
-    h = ts[1] - ts[0]
-    rhos = rh.rho_along(sys, x0, p0, list(ts), tol=tol)
-    R = np.zeros(nodes)
-    # Local quadratic through each node triple gives both half-interval
-    # integrals to the same order as the Simpson pair itself.
-    for k in range(0, nodes - 2, 2):
-        f0, f1, f2 = rhos[k], rhos[k + 1], rhos[k + 2]
-        R[k + 1] = R[k] + h * (5 * f0 + 8 * f1 - f2) / 12.0
-        R[k + 2] = R[k] + h * (f0 + 4 * f1 + f2) / 3.0
-
-    def integral(t):
-        t = float(t)
-        if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
-            raise AsymptoticsError("integral queried outside the rho grid")
-        j = min(int(t / h), nodes - 2)
-        s = (t - ts[j]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return (h00 * R[j] + h01 * R[j + 1]
-                + h * (h10 * rhos[j] + h11 * rhos[j + 1]))
-
-    return integral, ts, rhos
 
 
 @dataclass(frozen=True)
@@ -113,34 +81,39 @@ class ExpansionFit:
         return -self.trace_r / 6.0
 
 
-def fit_expansion(sys, x0, p0, window=(1e-2, 2e-1), samples=24,
-                  residual_tol=1e-3, tol=ham.DEFAULT_TOL):
-    """Fit h(t) = log r(t) - N log t - int_0^t rho - offset by least
-    squares against 1, t^2, t^3 on a geometric grid.
-
-    The intercept is log C (directly comparable with the exact Young
-    diagram constant), the quadratic coefficient times -6 is the
-    curvature trace, and the cubic term only absorbs the next order of
-    the remainder."""
-    x0 = np.asarray(x0, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
+def fit_times(window=(1e-2, 2e-1), samples=24):
+    """The trajectory times fit_expansion_from reads: a geometric grid on
+    the window."""
     t_lo, t_hi = float(window[0]), float(window[1])
     if not (0.0 < t_lo < t_hi):
         raise AsymptoticsError("the fit window must satisfy 0 < t_lo < t_hi")
+    return list(np.geomspace(t_lo, t_hi, samples))
+
+
+def fit_expansion_from(geodesic, window=(1e-2, 2e-1), samples=24,
+                       residual_tol=1e-3):
+    """Fit h(t) = log r(t) - N log t - int_0^t rho - offset by least
+    squares against 1, t^2, t^3 on a geometric grid, reading the geodesic.
+
+    rho is dG/dtau along this very trajectory, so the running integral is
+    the exact difference G(t) - G(0) at each sample time, and the offset
+    2 G(0) - 2 log m(x0) comes from the same Gram pass.  The intercept is
+    log C (directly comparable with the exact Young diagram constant),
+    the quadratic coefficient times -6 is the curvature trace, and the
+    cubic term only absorbs the next order of the remainder."""
+    sys, x0, p0 = geodesic.sys, geodesic.x0, geodesic.p0
+    ts = np.array(fit_times(window, samples))
+    t_lo, t_hi = float(window[0]), float(window[1])
     base = fl.flag_at(sys, x0, p0)
     if not base.ample:
         raise AsymptoticsError("the flag is not ample; the expansion"
                                " exponent is undefined here")
     dimension = base.dimension
 
-    dets0, _ = rh.gram_dets(sys, x0, p0)
-    offset = float(sum(math.log(d) for d in dets0)
-                   - 2.0 * math.log(sys.density_at(x0)))
-
-    integral, _, _ = _rho_antiderivative(sys, x0, p0, t_hi, tol=tol)
-    ts = np.geomspace(t_lo, t_hi, samples)
-    log_r = rh.log_volume_ratios(sys, x0, p0, list(ts), tol)
-    integrals = np.array([integral(t) for t in ts])
+    g0, *g = rh.gram_from(geodesic, [0.0] + list(ts))
+    integrals = np.array(g) - g0
+    offset = 2.0 * g0 - 2.0 * math.log(sys.density_at(x0))
+    log_r = rh.log_volume_ratios_from(geodesic, ts)
     h = log_r - dimension * np.log(ts) - integrals - offset
 
     tau = ts / t_hi
@@ -174,15 +147,34 @@ def fit_expansion(sys, x0, p0, window=(1e-2, 2e-1), samples=24,
     )
 
 
-def exponent_probe(sys, x0, p0, t_lo=1e-3, t_hi=1e-2, samples=9,
-                   tol=ham.DEFAULT_TOL):
+def fit_expansion(sys, x0, p0, window=(1e-2, 2e-1), samples=24,
+                  residual_tol=1e-3, tol=ham.DEFAULT_TOL):
+    """fit_expansion_from on a geodesic integrated for its times alone."""
+    geodesic = ham.Geodesic(sys, x0, p0, fit_times(window, samples), tol)
+    return fit_expansion_from(geodesic, window, samples, residual_tol)
+
+
+def exponent_probe_times(t_lo=1e-3, t_hi=1e-2, samples=9):
+    """The trajectory times exponent_probe_from reads."""
+    return list(np.geomspace(t_lo, t_hi, samples))
+
+
+def exponent_probe_from(geodesic, t_lo=1e-3, t_hi=1e-2, samples=9):
     """Log-log slope of the volume ratio over a decade of small times; an
     estimate of the exponent N that never consults the flag."""
     ts = np.geomspace(t_lo, t_hi, samples)
-    log_r = rh.log_volume_ratios(sys, x0, p0, list(ts), tol)
+    log_r = rh.log_volume_ratios_from(geodesic, ts)
     A = np.column_stack([np.ones(samples), np.log(ts)])
     coef, *_ = np.linalg.lstsq(A, log_r, rcond=None)
     return float(coef[1])
+
+
+def exponent_probe(sys, x0, p0, t_lo=1e-3, t_hi=1e-2, samples=9,
+                   tol=ham.DEFAULT_TOL):
+    """exponent_probe_from on a geodesic integrated for its times alone."""
+    geodesic = ham.Geodesic(sys, x0, p0,
+                            exponent_probe_times(t_lo, t_hi, samples), tol)
+    return exponent_probe_from(geodesic, t_lo, t_hi, samples)
 
 
 def ricci_oracle(name, sys=None, x0=None, p0=None):

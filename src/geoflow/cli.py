@@ -12,9 +12,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -149,9 +147,15 @@ def analyze_report(system, x0, p0, window=(1e-2, 2e-1), samples=24,
         "base": [float(v) for v in x0],
         "covector": [float(v) for v in p0],
     }
+    # One geodesic serves every stage: collect the times each one reads.
+    times = fl.equiregular_times(window[1], equiregular_samples)
+    times += rh.rho_times([0.0]) + rh.rho_flow_times()
+    if fit:
+        times += asym.fit_times(window, samples) + asym.exponent_probe_times()
+    geodesic = ham.Geodesic(system, x0, p0, times, tol)
     try:
-        flag, verdict, growths = fl.equiregular_on(
-            system, x0, p0, t_max=window[1], samples=equiregular_samples)
+        flag, verdict, growths = fl.equiregular_from(
+            geodesic, window[1], equiregular_samples)
     except fl.FlagError as err:
         report["status"] = "degenerate covector: %s" % err
         return report, EXIT_DEGENERATE
@@ -163,17 +167,16 @@ def analyze_report(system, x0, p0, window=(1e-2, 2e-1), samples=24,
                             else "growth vector changes along the flow")
         return report, EXIT_DEGENERATE
 
-    rho_gram = rh.rho(system, x0, p0, tol=tol)
-    rho_from_flow = rh.rho_flow(system, x0, p0,
-                                dimension=flag.dimension, tol=tol)
+    rho_gram = float(rh.rho_from(geodesic, [0.0])[0])
+    rho_from_flow = rh.rho_flow_from(geodesic, dimension=flag.dimension)
     rho_gap = abs(rho_gram - rho_from_flow)
     report["rho"] = {"gram": rho_gram, "flow": rho_from_flow,
                      "gap": rho_gap}
     checks = {"rho_two_path": rho_gap <= rho_gap_tol}
 
     if fit:
-        fitted = asym.fit_expansion(system, x0, p0, window=window,
-                                    samples=samples, tol=tol)
+        fitted = asym.fit_expansion_from(geodesic, window=window,
+                                         samples=samples)
         report["fit"] = asym.fit_report(fitted)
         c_exact = float(flag.leading)
         rel_gap = abs(fitted.constant - c_exact) / c_exact
@@ -186,7 +189,7 @@ def analyze_report(system, x0, p0, window=(1e-2, 2e-1), samples=24,
                                       "fitted": fitted.trace_r,
                                       "gap": gap}
             checks["ricci_oracle"] = gap <= ricci_tol
-        probe = asym.exponent_probe(system, x0, p0, tol=tol)
+        probe = asym.exponent_probe_from(geodesic)
         report["exponent_probe"] = {"slope": probe,
                                     "expected": flag.dimension}
         checks["exponent"] = abs(probe - flag.dimension) <= 0.1
@@ -232,9 +235,11 @@ def _sweep_row(system, x0, line, window, samples, tol):
             row["status"] = "non-ample"
             return row
         row["dimension"] = str(flag.dimension)
-        row["rho"] = repr(float(rh.rho(system, x0, p0, tol=tol)))
-        fitted = asym.fit_expansion(system, x0, p0, window=window,
-                                    samples=samples, tol=tol)
+        times = rh.rho_times([0.0]) + asym.fit_times(window, samples)
+        geodesic = ham.Geodesic(system, x0, p0, times, tol)
+        row["rho"] = repr(float(rh.rho_from(geodesic, [0.0])[0]))
+        fitted = asym.fit_expansion_from(geodesic, window=window,
+                                         samples=samples)
         row["C_fit"] = repr(float(fitted.constant))
         row["trR_fit"] = repr(float(fitted.trace_r))
         row["residual"] = repr(float(fitted.residual_norm))
@@ -248,37 +253,17 @@ def _sweep_row(system, x0, line, window, samples, tol):
     return row
 
 
-def _worker_count():
-    env = os.environ.get("GEOFLOW_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
-
-
 def cmd_sweep(args):
     system = _resolve_system(args)
     x0 = _resolve_base(args, system)
     with open(args.covectors) as handle:
         lines = [ln for ln in handle if ln.strip()]
-    # Touch the shared caches once so pool workers only read them.
-    if lines:
-        ham.hamiltonian(system)
     stream = _out_stream(args)
     writer = csv.DictWriter(stream, fieldnames=_SWEEP_COLUMNS)
     writer.writeheader()
-    work = lambda ln: _sweep_row(system, x0, ln, args.window,
-                                 args.samples, args.tol)
-    workers = _worker_count()
-    if len(lines) <= 1 or workers == 1:
-        rows = [work(ln) for ln in lines]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(work, lines))
-    for row in rows:
-        writer.writerow(row)
+    for line in lines:
+        writer.writerow(_sweep_row(system, x0, line, args.window,
+                                   args.samples, args.tol))
     if stream is not _sys.stdout:
         stream.close()
     return EXIT_OK

@@ -35,9 +35,10 @@ from . import geometry as geo
 from . import hamiltonian as ham
 
 __all__ = [
-    "FlagError", "GeodesicFlag", "flag_at", "growth_vector",
-    "geodesic_dimension", "homogeneous_weight", "young_diagram",
-    "leading_constant", "equiregular_on", "admissible_extension",
+    "FlagError", "GeodesicFlag", "flag_at", "geodesic_dimension",
+    "homogeneous_weight", "young_diagram", "leading_constant",
+    "equiregular_times", "equiregular_from", "equiregular_on",
+    "admissible_extension",
     "poisson_taylor", "velocity_at",
 ]
 
@@ -139,25 +140,10 @@ def _extension_field(sys, order):
     return T
 
 
-def _extension_level(sys, j):
-    """Fields (ad T)^j X_a as expressions over chart + parameters, using
-    the minimal sufficient jet order (= j)."""
-    cached = sys._cache.get(("ext_level", j))
-    if cached is not None:
-        return cached
-    if j == 0:
-        fields = sys.frame
-    else:
-        T = _extension_field(sys, j)
-        prev = _extension_level_at_order(sys, j - 1, j)
-        fields = tuple(geo.lie_bracket(T, W, nchart=sys.dim) for W in prev)
-    sys._cache[("ext_level", j)] = fields
-    return fields
-
-
 def _extension_level_at_order(sys, j, order):
-    # Same as _extension_level but with the jet order forced, so that a
-    # depth-j bracket can be built inside a depth-(j+1) computation.
+    """Fields (ad T)^j X_a as expressions over chart + parameters, with T
+    built at the given jet order.  Order j is the minimal sufficient one;
+    a larger order builds a depth-j bracket inside a deeper computation."""
     if j == 0:
         return sys.frame
     cached = sys._cache.get(("ext_level_o", j, order))
@@ -173,7 +159,7 @@ def _extension_level_at_order(sys, j, order):
 def _extension_fn(sys, j):
     fn = sys._cache.get(("ext_fn", j))
     if fn is None:
-        fields = _extension_level(sys, j)
+        fields = _extension_level_at_order(sys, j, j)
         fn = ex.compile_exprs([c for W in fields for c in W.components])
         sys._cache[("ext_fn", j)] = fn
     return fn
@@ -241,13 +227,6 @@ class GeodesicFlag:
     rank_tol: float
     diagnostics: tuple
     bracket_columns: tuple
-
-    @property
-    def equiregular_hint(self):
-        # Increments of an ample flag never increase level over level; a
-        # violation signals a rank tolerance problem, not geometry.
-        return all(self.increments[i] >= self.increments[i + 1]
-                   for i in range(len(self.increments) - 1))
 
 
 def _growth_profile(sys, x, p, rank_tol, max_step):
@@ -329,10 +308,6 @@ def flag_at(sys, x, p, rank_tol=RANK_TOL, max_step=None):
     )
 
 
-def growth_vector(sys, x, p, rank_tol=RANK_TOL):
-    return flag_at(sys, x, p, rank_tol=rank_tol).growth
-
-
 def geodesic_dimension(increments):
     """sum over levels of (2i - 1) d_i."""
     return int(sum((2 * i + 1) * d for i, d in enumerate(increments)))
@@ -361,14 +336,28 @@ def leading_constant(young_rows):
     return out
 
 
-def equiregular_on(sys, x0, p0, t_max, samples=5, tol=ham.DEFAULT_TOL,
-                   rank_tol=RANK_TOL):
+def equiregular_times(t_max, samples=5):
+    """The trajectory times equiregular_from reads: samples - 1 evenly
+    spaced points of (0, t_max]."""
+    return [t_max * i / (samples - 1) for i in range(1, samples)]
+
+
+def equiregular_from(geodesic, t_max, samples=5, rank_tol=RANK_TOL):
     """Check that the growth vector is the same at several points of the
-    trajectory over [0, t_max].  Returns (flag at 0, verdict, growths)."""
-    times = [t_max * i / (samples - 1) for i in range(1, samples)]
-    base = flag_at(sys, x0, p0, rank_tol=rank_tol)
+    geodesic over [0, t_max].  Returns (flag at 0, verdict, growths)."""
+    sys = geodesic.sys
+    base = flag_at(sys, geodesic.x0, geodesic.p0, rank_tol=rank_tol)
     growths = [base.growth]
-    for s in ham.flow_many(sys, x0, p0, times, tol):
+    for t in equiregular_times(t_max, samples):
+        s = geodesic.sample(t)
         growths.append(flag_at(sys, s.x, s.p, rank_tol=rank_tol).growth)
     verdict = all(g == base.growth for g in growths)
     return base, verdict, tuple(growths)
+
+
+def equiregular_on(sys, x0, p0, t_max, samples=5, tol=ham.DEFAULT_TOL,
+                   rank_tol=RANK_TOL):
+    """equiregular_from on a geodesic integrated for its times alone."""
+    geodesic = ham.Geodesic(sys, x0, p0, equiregular_times(t_max, samples),
+                            tol)
+    return equiregular_from(geodesic, t_max, samples, rank_tol)

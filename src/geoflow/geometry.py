@@ -16,7 +16,7 @@ from . import expr as ex
 
 __all__ = [
     "GeometryError", "VectorField", "ControlSystem", "AuxFrame",
-    "lie_bracket", "bracket_word", "aux_frame_at", "volume_of", "divergence",
+    "lie_bracket", "aux_frame_at", "divergence",
     "frame_determinant", "load_structure", "structure_from_dict",
 ]
 
@@ -150,25 +150,6 @@ class ControlSystem:
         return value
 
 
-def bracket_word(sys, word):
-    """Iterated bracket addressed by a nested word.
-
-    A word is an int (0-based frame index, or -1 for the drift) or a pair
-    (left, right) meaning the bracket of the two subwords.  Results are
-    simplified and cached on the system per word.
-    """
-    cached = sys._cache.get(("word", word))
-    if cached is not None:
-        return cached
-    if isinstance(word, int):
-        out = sys.X0 if word == -1 else sys.frame[word]
-    else:
-        left, right = word
-        out = lie_bracket(bracket_word(sys, left), bracket_word(sys, right))
-    sys._cache[("word", word)] = out
-    return out
-
-
 @dataclass(frozen=True)
 class AuxFrame:
     """Unimodular auxiliary basis at a point: frame columns, then constant
@@ -245,15 +226,6 @@ def aux_frame_at(sys, x, complement=None):
     zeta = 1.0 / (m * det0)
     Y[:, -1] = Y[:, -1] * zeta
     return AuxFrame(matrix=Y, complement=complement, scale=zeta, point=x)
-
-
-def volume_of(sys, x, vectors):
-    """Volume of the parallelotope spanned by n vectors at x, measured by
-    the declared density: m(x) * |det|."""
-    V = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-    if V.shape != (sys.dim, sys.dim):
-        raise GeometryError("need exactly n vectors of dimension n")
-    return sys.density_at(x) * abs(float(np.linalg.det(V)))
 
 
 def divergence(f, density=None, nchart=None):

@@ -21,8 +21,8 @@ import numpy as np
 from . import expr as ex
 
 __all__ = [
-    "IntegrationError", "FlowSample", "hamiltonian", "controls_at",
-    "flow", "flow_many", "transition", "transition_many",
+    "IntegrationError", "FlowSample", "Geodesic", "hamiltonian",
+    "controls_at", "flow", "transition", "transition_many",
     "vertical_jacobian", "signed_log_det", "volume_ratio",
     "log_volume_ratio",
 ]
@@ -129,19 +129,18 @@ def controls_at(sys, x, p):
 # ----------------------------------------------------------------------
 # Dormand-Prince 5(4) with FSAL and a PI step controller
 
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = (
+_A = tuple(np.array(row) for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+))
+_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 # Difference between the 5th and embedded 4th order weights (k7 = FSAL).
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
-      -1 / 40)
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+               22 / 525, -1 / 40])
 
 _MAX_STEPS = 200000
 
@@ -186,6 +185,9 @@ def _integrate(f, y0, targets, rtol, atol):
     direction = 1.0 if targets[0] > 0 else -1.0
     h = _initial_step(f, y, k1, direction, rtol, atol)
     err_prev = 1.0
+    # The seven stage derivatives, one row each; every stage combination
+    # is one coefficient-row product against the rows above it.
+    K = np.empty((7, y.size))
     out = []
     steps = 0
     for target in targets:
@@ -200,14 +202,12 @@ def _integrate(f, y0, targets, rtol, atol):
                     "flow lost accuracy at t=%r" % t, t_last=t, state=y)
             hs = h * direction
             with np.errstate(over="ignore", invalid="ignore"):
-                k = [k1]
+                K[0] = k1
                 for i in range(1, 6):
-                    yi = y + hs * sum(a * ki for a, ki in zip(_A[i], k))
-                    k.append(f(yi))
-                y_new = y + hs * sum(b * ki for b, ki in zip(_B, k))
-                k7 = f(y_new)
-                k.append(k7)
-                err_vec = hs * sum(e * ki for e, ki in zip(_E, k))
+                    K[i] = f(y + hs * (_A[i] @ K[:i]))
+                y_new = y + hs * (_B @ K[:6])
+                K[6] = f(y_new)
+                err_vec = hs * (_E @ K)
                 sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
                 err = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
             if not math.isfinite(err):
@@ -219,7 +219,7 @@ def _integrate(f, y0, targets, rtol, atol):
             if err <= 1.0:
                 t = t + hs
                 y = y_new
-                k1 = k7
+                k1 = K[6].copy()
                 grow = 0.9 * (max(err, 1e-10) ** -0.14) * (err_prev ** 0.08)
                 h = h * min(5.0, max(0.2, grow))
                 err_prev = max(err, 1e-10)
@@ -230,15 +230,6 @@ def _integrate(f, y0, targets, rtol, atol):
                         "step size underflow at t=%r" % t, t_last=t, state=y)
         out.append((t, y.copy()))
     return out
-
-
-def _split_targets(times):
-    """Group target times by sign, each group sorted outward from 0."""
-    order = []
-    neg = sorted((t for t in times if t < 0), reverse=True)
-    pos = sorted(t for t in times if t > 0)
-    zero = [t for t in times if t == 0]
-    return neg, pos, zero
 
 
 def _make_sample(sys, t, x, p, e0):
@@ -252,39 +243,12 @@ def _make_sample(sys, t, x, p, e0):
                       energy_drift=drift)
 
 
-def flow_many(sys, x0, p0, times, tol=DEFAULT_TOL):
-    """Trajectory samples at the requested times (any signs, any order).
-
-    Times of a common sign are visited in a single continued integration.
-    """
-    n = sys.dim
-    x0 = np.asarray(x0, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    rhs = _compiled(sys, "rhs_fn")
-
-    def f(y):
-        return np.array(rhs(list(y)), dtype=float)
-
-    y0 = np.concatenate([x0, p0])
-    e0 = energy_at(sys, x0, p0)
-    neg, pos, zero = _split_targets(times)
-    found = {}
-    for t in zero:
-        found[0.0] = _make_sample(sys, 0.0, x0.copy(), p0.copy(), e0)
-    for group in (neg, pos):
-        if not group:
-            continue
-        for t, y in _integrate(f, y0, group, tol, tol * 1e-2):
-            found[t] = _make_sample(sys, t, y[:n], y[n:], e0)
-    return [found[min(found, key=lambda s, t=t: abs(s - t))] for t in times]
-
-
-def flow(sys, x0, p0, t, tol=DEFAULT_TOL):
-    return flow_many(sys, x0, p0, [t], tol)[0]
-
-
 def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL):
-    """Samples plus full 2n-by-2n variational transition matrices."""
+    """Samples plus full 2n-by-2n variational transition matrices at the
+    requested times (any signs, any order, repeats allowed).
+
+    Times of a common sign are visited in a single continued integration,
+    so one call makes at most two."""
     n = sys.dim
     x0 = np.asarray(x0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
@@ -301,22 +265,59 @@ def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL):
 
     y0 = np.concatenate([x0, p0, np.eye(m).ravel()])
     e0 = energy_at(sys, x0, p0)
-    neg, pos, zero = _split_targets(times)
     found = {}
-    for t in zero:
+    if 0.0 in times:
         found[0.0] = (_make_sample(sys, 0.0, x0.copy(), p0.copy(), e0),
                       np.eye(m))
+    neg = sorted({t for t in times if t < 0}, reverse=True)
+    pos = sorted({t for t in times if t > 0})
     for group in (neg, pos):
         if not group:
             continue
-        for t, y in _integrate(f, y0, group, tol, tol * 1e-2):
+        reached = _integrate(f, y0, group, tol, tol * 1e-2)
+        for target, (t, y) in zip(group, reached):
             sample = _make_sample(sys, t, y[:n], y[n:m], e0)
-            found[t] = (sample, y[m:].reshape(m, m).copy())
-    return [found[min(found, key=lambda s, t=t: abs(s - t))] for t in times]
+            found[target] = (sample, y[m:].reshape(m, m).copy())
+    return [found[t] for t in times]
 
 
 def transition(sys, x0, p0, t, tol=DEFAULT_TOL):
     return transition_many(sys, x0, p0, [t], tol)[0]
+
+
+def flow(sys, x0, p0, t, tol=DEFAULT_TOL):
+    return transition(sys, x0, p0, t, tol)[0]
+
+
+class Geodesic:
+    """The trajectory of one covector, integrated once per sign of time
+    together with its variational matrix, at the union of the times that
+    every stage reading it asks for.
+
+    Stages split into the times they need and a function of the geodesic;
+    a caller collects the times first, builds one Geodesic, and each stage
+    reads its (sample, M) pairs back by exact requested time.  Time 0 is
+    always available."""
+
+    def __init__(self, sys, x0, p0, times, tol=DEFAULT_TOL):
+        self.sys = sys
+        self.x0 = np.asarray(x0, dtype=float)
+        self.p0 = np.asarray(p0, dtype=float)
+        distinct = sorted({0.0, *(float(t) for t in times)})
+        self._points = dict(zip(distinct, transition_many(
+            sys, self.x0, self.p0, distinct, tol)))
+
+    def point(self, t):
+        """(FlowSample, transition matrix) at a time this geodesic was
+        built for."""
+        try:
+            return self._points[float(t)]
+        except KeyError:
+            raise KeyError("t=%r is not among the times this geodesic was"
+                           " integrated to" % (t,)) from None
+
+    def sample(self, t):
+        return self.point(t)[0]
 
 
 def vertical_jacobian(M, n):

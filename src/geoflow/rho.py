@@ -14,6 +14,11 @@ covector, independent of the completion and of the admissible extension.
 That collapses every rho evaluation into finite differences of a single
 scalar function along the flow, and makes the running integral of rho an
 exact difference G(t) - G(0).
+
+Every stage reads a hamiltonian.Geodesic: `*_times` gives the trajectory
+times a stage needs and `*_from` computes it from a geodesic that holds
+them, so a caller running several stages integrates once.  The
+(sys, x0, p0) entry points build a geodesic for their own times.
 """
 
 from __future__ import annotations
@@ -28,10 +33,10 @@ from . import hamiltonian as ham
 from . import expr as ex
 
 __all__ = [
-    "RhoError", "gram_dets", "gram_log", "g_rel", "rho", "rho_along",
-    "rho_flow", "integral_of_rho", "scaling_checks",
+    "RhoError", "gram_dets", "gram_from", "g_rel", "rho_times", "rho_from",
+    "rho", "rho_along", "log_volume_ratios_from", "log_volume_ratios",
+    "rho_flow_times", "rho_flow_from", "rho_flow", "scaling_checks",
     "riemannian_rho_field", "riemannian_divergence_check",
-    "log_volume_ratios",
 ]
 
 FD_STEP = 1e-3
@@ -42,9 +47,10 @@ class RhoError(RuntimeError):
 
 
 def _gram_log_of_levels(aux_matrix, growth, per_level):
-    """1/2 sum_i log det M_i from bracket columns in chart coordinates."""
+    """log det M_i for every level, from bracket columns in chart
+    coordinates; a level that adds no direction contributes 0."""
     Yinv = np.linalg.inv(aux_matrix)
-    total = 0.0
+    logs = []
     acc = []
     B_prev = None
     for i, C in enumerate(per_level):
@@ -52,6 +58,7 @@ def _gram_log_of_levels(aux_matrix, growth, per_level):
         acc.append(Caux)
         d_i = growth[i] - (growth[i - 1] if i else 0)
         if d_i == 0:
+            logs.append(0.0)
             continue
         U = np.column_stack(acc)
         u, _, _ = np.linalg.svd(U, full_matrices=False)
@@ -60,19 +67,20 @@ def _gram_log_of_levels(aux_matrix, growth, per_level):
             V = B
         else:
             P = B - B_prev @ (B_prev.T @ B)
-            u2, s2, _ = np.linalg.svd(P, full_matrices=False)
+            u2, _, _ = np.linalg.svd(P, full_matrices=False)
             V = u2[:, :d_i]
         L = V.T @ Caux
-        sv = np.linalg.svd(L, compute_uv=False)
-        sv = sv[:d_i]
+        sv = np.linalg.svd(L, compute_uv=False)[:d_i]
         if np.any(sv <= 0.0):
             raise RhoError("level %d Gram matrix is singular" % (i + 1))
-        total += float(np.sum(np.log(sv)))
+        logs.append(2.0 * float(np.sum(np.log(sv))))
         B_prev = B
-    return total
+    return logs
 
 
 def _point_gram(sys, x, p, complement, expected, rank_tol):
+    """g = 1/2 sum_i log det M_i at one covector, with the growth vector
+    required to equal `expected`."""
     aux = geo.aux_frame_at(sys, x, complement)
     ranks, per_level = fl._growth_profile(sys, x, p, rank_tol,
                                           max_step=len(expected))
@@ -80,7 +88,7 @@ def _point_gram(sys, x, p, complement, expected, rank_tol):
         raise RhoError(
             "growth vector changed along the flow: %r versus %r"
             % (tuple(ranks), tuple(expected)))
-    return _gram_log_of_levels(aux.matrix, ranks, per_level), aux
+    return 0.5 * sum(_gram_log_of_levels(aux.matrix, ranks, per_level))
 
 
 def gram_dets(sys, x, p, t=0.0, complement=None, rank_tol=fl.RANK_TOL,
@@ -93,83 +101,66 @@ def gram_dets(sys, x, p, t=0.0, complement=None, rank_tol=fl.RANK_TOL,
     aux = geo.aux_frame_at(sys, x, complement)
     ranks, per_level = fl._growth_profile(sys, x, p, rank_tol,
                                           max_step=sys.dim + 2)
-    Yinv = np.linalg.inv(aux.matrix)
-    dets = []
-    acc = []
-    B_prev = None
-    for i, C in enumerate(per_level[:len(ranks)]):
-        Caux = Yinv @ C
-        acc.append(Caux)
-        d_i = ranks[i] - (ranks[i - 1] if i else 0)
-        if d_i == 0:
-            dets.append(1.0)
-            continue
-        U = np.column_stack(acc)
-        u, _, _ = np.linalg.svd(U, full_matrices=False)
-        B = u[:, :ranks[i]]
-        if B_prev is None:
-            V = B
-        else:
-            P = B - B_prev @ (B_prev.T @ B)
-            u2, _, _ = np.linalg.svd(P, full_matrices=False)
-            V = u2[:, :d_i]
-        L = V.T @ Caux
-        sv = np.linalg.svd(L, compute_uv=False)[:d_i]
-        dets.append(float(np.prod(sv ** 2)))
-        B_prev = B
-    return dets, aux
+    logs = _gram_log_of_levels(aux.matrix, ranks, per_level)
+    return [math.exp(v) for v in logs], aux
 
 
-def gram_log(sys, x, p, complement=None, rank_tol=fl.RANK_TOL):
-    """g = 1/2 sum_i log det M_i at one covector."""
-    base = fl.flag_at(sys, x, p, rank_tol=rank_tol)
-    if not base.ample:
+def gram_from(geodesic, times, complement=None, rank_tol=fl.RANK_TOL):
+    """G(tau) for every tau in times, read from the geodesic.
+
+    The auxiliary completion is chosen once at the base point (or given)
+    and kept along the trajectory, and the growth vector must stay that
+    of the base covector."""
+    sys = geodesic.sys
+    expected, _ = fl._growth_profile(sys, geodesic.x0, geodesic.p0,
+                                     rank_tol, max_step=sys.dim + 2)
+    if expected[-1] != sys.dim:
         raise RhoError("the flag is not ample; rho is undefined here")
-    aux = geo.aux_frame_at(sys, x, complement)
-    value, _ = _point_gram(sys, x, p, aux.complement, base.raw_ranks,
-                           rank_tol)
-    return value
-
-
-def _gram_along(sys, x0, p0, times, complement=None, rank_tol=fl.RANK_TOL,
-                tol=ham.DEFAULT_TOL):
-    """G(tau) for every tau in times (one chained integration per sign).
-
-    Returns (values in the order of times, complement used)."""
-    x0 = np.asarray(x0, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    base = fl.flag_at(sys, x0, p0, rank_tol=rank_tol)
-    if not base.ample:
-        raise RhoError("the flag is not ample; rho is undefined here")
-    expected = base.raw_ranks
-    aux0 = geo.aux_frame_at(sys, x0, complement)
-    comp = aux0.complement
+    comp = geo.aux_frame_at(sys, geodesic.x0, complement).complement
     values = {}
-    distinct = sorted(set(float(t) for t in times))
-    samples = ham.flow_many(sys, x0, p0, distinct, tol)
-    for t, s in zip(distinct, samples):
+    for t in {float(t) for t in times}:
+        s = geodesic.sample(t)
         try:
-            values[t], _ = _point_gram(sys, s.x, s.p, comp, expected,
-                                       rank_tol)
+            values[t] = _point_gram(sys, s.x, s.p, comp, expected, rank_tol)
         except geo.GeometryError as err:
             raise RhoError(
                 "auxiliary completion degenerated at t=%r: %s" % (t, err))
-    return [values[float(t)] for t in times], comp
+    return [values[float(t)] for t in times]
 
 
 def g_rel(sys, x0, p0, t, complement=None, tol=ham.DEFAULT_TOL):
     """G(t) - G(0): the running integral of rho along the trajectory."""
     scalar = np.isscalar(t)
     ts = [float(t)] if scalar else [float(v) for v in t]
-    vals, _ = _gram_along(sys, x0, p0, ts + [0.0], complement, tol=tol)
+    geodesic = ham.Geodesic(sys, x0, p0, ts, tol)
+    vals = gram_from(geodesic, ts + [0.0], complement)
     base = vals[-1]
     out = [v - base for v in vals[:-1]]
     return out[0] if scalar else np.array(out)
 
 
-def integral_of_rho(sys, x0, p0, t, complement=None, tol=ham.DEFAULT_TOL):
-    """Exact running integral of rho; alias of g_rel."""
-    return g_rel(sys, x0, p0, t, complement, tol)
+def rho_times(times, step=FD_STEP):
+    """The trajectory times rho_from reads: four finite-difference nodes
+    around each requested time."""
+    h = step
+    needed = []
+    for s in times:
+        needed.extend((s - h, s - h / 2, s + h / 2, s + h))
+    return needed
+
+
+def rho_from(geodesic, times, complement=None, step=FD_STEP):
+    """rho at the flowed covectors lambda(s), s in times, read from the
+    geodesic: Richardson extrapolated central differences of G."""
+    h = step
+    vals = gram_from(geodesic, rho_times(times, step), complement)
+    out = []
+    for i in range(len(times)):
+        gm, gm2, gp2, gp = vals[4 * i: 4 * i + 4]
+        d_h = (gp - gm) / (2 * h)
+        d_h2 = (gp2 - gm2) / h
+        out.append((4 * d_h2 - d_h) / 3)
+    return np.array(out)
 
 
 def rho(sys, x0, p0, complement=None, step=FD_STEP, tol=ham.DEFAULT_TOL):
@@ -183,38 +174,43 @@ def rho_along(sys, x0, p0, times, complement=None, step=FD_STEP,
     """rho at the flowed covectors lambda(s) for each s in times.
 
     Every value is a finite difference of the single function G, so one
-    call costs four G evaluations per node, all chained through two
-    integrations."""
+    call costs four G evaluations per node, all read from one geodesic."""
     scalar = np.isscalar(times)
     times = [float(times)] if scalar else [float(s) for s in times]
-    h = step
-    needed = []
-    for s in times:
-        needed.extend((s - h, s - h / 2, s + h / 2, s + h))
-    vals, _ = _gram_along(sys, x0, p0, needed, complement, tol=tol)
-    out = []
-    for i in range(len(times)):
-        gm, gm2, gp2, gp = vals[4 * i: 4 * i + 4]
-        d_h = (gp - gm) / (2 * h)
-        d_h2 = (gp2 - gm2) / h
-        out.append((4 * d_h2 - d_h) / 3)
-    return out[0] if scalar else np.array(out)
+    geodesic = ham.Geodesic(sys, x0, p0, rho_times(times, step), tol)
+    out = rho_from(geodesic, times, complement, step)
+    return out[0] if scalar else out
 
 
-def log_volume_ratios(sys, x0, p0, times, tol=ham.DEFAULT_TOL):
-    """log of the volume ratio at each time, one chained variational
-    integration per sign of time."""
-    x0 = np.asarray(x0, dtype=float)
-    log_m0 = math.log(sys.density_at(x0))
+def log_volume_ratios_from(geodesic, times):
+    """log of the volume ratio at each time, read from the geodesic's
+    transition matrices."""
+    sys = geodesic.sys
+    log_m0 = math.log(sys.density_at(geodesic.x0))
     out = []
-    for s, M in ham.transition_many(sys, x0, p0, times, tol):
+    for t in times:
+        s, M = geodesic.point(t)
         _, ld = ham.signed_log_det(ham.vertical_jacobian(M, sys.dim))
         out.append(ld + math.log(sys.density_at(s.x)) - log_m0)
     return np.array(out)
 
 
-def rho_flow(sys, x0, p0, dimension=None, t_lo=3e-2, t_hi=1.5e-1, samples=20,
-             tol=ham.DEFAULT_TOL):
+def log_volume_ratios(sys, x0, p0, times, tol=ham.DEFAULT_TOL):
+    """log of the volume ratio at each time, one chained variational
+    integration per sign of time."""
+    return log_volume_ratios_from(ham.Geodesic(sys, x0, p0, times, tol),
+                                  times)
+
+
+def rho_flow_times(t_lo=3e-2, t_hi=1.5e-1, samples=20):
+    """The trajectory times rho_flow_from reads: a geometric grid on
+    [t_lo, t_hi] and its mirror image."""
+    ts = np.geomspace(t_lo, t_hi, samples)
+    return list(ts) + list(-ts)
+
+
+def rho_flow_from(geodesic, dimension=None, t_lo=3e-2, t_hi=1.5e-1,
+                  samples=20):
     """Independent estimate of rho(lambda) from the volume flow itself.
 
     log r(t) - N log|t| = log C + rho t + c2 t^2 + ... as a series in
@@ -229,9 +225,11 @@ def rho_flow(sys, x0, p0, dimension=None, t_lo=3e-2, t_hi=1.5e-1, samples=20,
     window sits above the small-t noise floor of the variational
     determinant, whose graded entries lose relative accuracy as t -> 0."""
     if dimension is None:
-        dimension = fl.flag_at(sys, x0, p0).dimension
+        dimension = fl.flag_at(geodesic.sys, geodesic.x0,
+                               geodesic.p0).dimension
     ts = np.geomspace(t_lo, t_hi, samples)
-    ys = log_volume_ratios(sys, x0, p0, list(ts) + list(-ts), tol)
+    ys = log_volume_ratios_from(geodesic,
+                                rho_flow_times(t_lo, t_hi, samples))
     shift = dimension * np.log(ts)
     odd = 0.5 * ((ys[:samples] - shift) - (ys[samples:] - shift))
     tau = ts / t_hi
@@ -243,6 +241,14 @@ def rho_flow(sys, x0, p0, dimension=None, t_lo=3e-2, t_hi=1.5e-1, samples=20,
             "volume-flow fit residual %.3g exceeds 1e-4; the expansion"
             " window is unusable at this covector" % resid)
     return float(coef[0] / t_hi)
+
+
+def rho_flow(sys, x0, p0, dimension=None, t_lo=3e-2, t_hi=1.5e-1, samples=20,
+             tol=ham.DEFAULT_TOL):
+    """rho_flow_from on a geodesic integrated for its times alone."""
+    geodesic = ham.Geodesic(sys, x0, p0,
+                            rho_flow_times(t_lo, t_hi, samples), tol)
+    return rho_flow_from(geodesic, dimension, t_lo, t_hi, samples)
 
 
 def scaling_checks(sys, x0, p0, factors, t_probe=(0.05, 0.1, 0.2),

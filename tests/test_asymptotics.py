@@ -13,6 +13,7 @@ import geoflow.catalog as cat
 import geoflow.exact as exact
 import geoflow.flag as fl
 import geoflow.geometry as geo
+import geoflow.rho as rh
 
 WEIGHTED_E3 = {
     "name": "weighted-r3", "dim": 3, "rank": 3,
@@ -48,6 +49,21 @@ def test_weighted_euclidean_h_is_constant():
     assert spread <= 1e-8
     assert fit.constant == pytest.approx(1.0, rel=1e-8)
     assert abs(fit.trace_r) <= 1e-5
+
+
+def test_rho_integral_is_the_exact_gram_difference():
+    engel = cat.builtin("engel")
+    p0 = np.array([0.8, 0.6, 0.5, -0.4])
+    fit = asym.fit_expansion(engel, np.zeros(4), p0)
+    g = rh.g_rel(engel, np.zeros(4), p0, list(fit.times))
+    assert np.allclose(fit.rho_integrals, g, rtol=0.0, atol=1e-12)
+    # constant rho = grad(psi) . p on the weighted flat space
+    sys = geo.structure_from_dict(WEIGHTED_E3)
+    p0 = np.array([0.7, 0.4, -0.5])
+    fit = asym.fit_expansion(sys, np.array([0.1, -0.2, 0.3]), p0)
+    slope = float(np.array([0.3, -0.2, 0.5]) @ p0)
+    assert np.allclose(fit.rho_integrals, slope * fit.times, rtol=0.0,
+                       atol=1e-9)
 
 
 def test_sphere_fit_matches_curvature_oracle():

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+import geoflow.catalog as catalog
 import geoflow.cli as cli
+import geoflow.hamiltonian as ham
 
 MARTINET = {"name": "martinet", "dim": 3, "rank": 2,
             "X0": ["0", "0", "0"],
@@ -123,19 +125,20 @@ def test_list_builtins_names(capsys):
     assert "heisenberg5" in out
 
 
-def test_sweep_statuses_in_input_order(tmp_path, capsys, monkeypatch):
+def test_sweep_statuses_in_input_order(tmp_path, capsys):
+    covectors = ["1,0,1", "0,0,1", "1,0"]
     batch = tmp_path / "covs.txt"
-    batch.write_text("1,0,1\n0,0,1\n1,0\n")
-    monkeypatch.setenv("GEOFLOW_THREADS", "2")
+    batch.write_text("".join(c + "\n" for c in covectors))
     rc = run(["sweep", "heisenberg3", str(batch)])
-    threaded = capsys.readouterr().out
+    lines = capsys.readouterr().out.strip().splitlines()
     assert rc == 0
-    monkeypatch.setenv("GEOFLOW_THREADS", "1")
-    rc = run(["sweep", "heisenberg3", str(batch)])
-    serial = capsys.readouterr().out
-    # worker count must never change the rows or their order
-    assert threaded == serial
-    lines = threaded.strip().splitlines()
+    # each row is what a sweep of that covector alone produces
+    for i, cov in enumerate(covectors):
+        single = tmp_path / ("one%d.txt" % i)
+        single.write_text(cov + "\n")
+        assert run(["sweep", "heisenberg3", str(single)]) == 0
+        alone = capsys.readouterr().out.strip().splitlines()
+        assert alone == [lines[0], lines[i + 1]]
     assert lines[0].rstrip() == ("covector,growth,dimension,rho,C_fit,"
                                  "trR_fit,residual,status")
     assert len(lines) == 4
@@ -197,3 +200,55 @@ def test_report_json_is_stable_under_roundtrip(capsys):
     assert json.loads(json.dumps(report)) == report
     assert report["flag"]["growth"] == [2, 3, 4]
     assert report["flag"]["geodesic_dimension"] == 10
+
+
+# analyze_report values recorded before every stage read one geodesic per
+# covector: (covector, rho gram, rho flow, fitted C, trace_r, exponent
+# slope) at the chart origin.
+GOLDEN = {
+    "heisenberg3": ([1.0, 0.2, 0.8], 9.055256544598933e-13,
+                    -2.490511406213542e-14, 0.08333333310648401,
+                    0.25597377059568405, 4.999998447322645),
+    "heisenberg5:1,2": ([0.5, -0.4, 0.6, 0.3, 1.1], 2.9605947323337506e-13,
+                        6.248916593759567e-14, 0.08333331800111028,
+                        2.606573189797711, 6.999984179983247),
+    "engel": ([0.8, 0.6, 0.5, -0.4], -0.3750000000005369,
+              -0.37500031048410376, 0.00011574073375599939,
+              -0.2269843519396305, 9.99860913025234),
+    "sphere2": ([0.6, 0.8], 0.0, 0.0, 0.9999999947100635,
+                0.2499490341765579, 1.999998483713005),
+    "euclidean:3:psi=0.3*x1": ([0.6, -0.8, 0.5], 0.18000000000001348,
+                               0.18000000000000074, 0.9999999999999957,
+                               -2.442258153492567e-13, 3.000667411123509),
+}
+
+
+def test_analyze_matches_recorded_values():
+    # within the tolerances of analyze_report's own checks
+    for name, (cov, rho_g, rho_f, const, trace, slope) in GOLDEN.items():
+        system = catalog.builtin(name)
+        report, code = cli.analyze_report(system, np.zeros(system.dim),
+                                          np.array(cov))
+        assert code == 0, name
+        assert report["rho"]["gram"] == pytest.approx(rho_g, abs=1e-5)
+        assert report["rho"]["flow"] == pytest.approx(rho_f, abs=1e-5)
+        assert report["fit"]["constant"] == pytest.approx(const, rel=1e-3)
+        assert report["fit"]["trace_r"] == pytest.approx(trace, abs=1e-2)
+        assert report["exponent_probe"]["slope"] == pytest.approx(slope,
+                                                                  abs=0.1)
+
+
+def test_analyze_integrates_once_per_time_sign(monkeypatch):
+    signs = []
+    inner = ham.transition_many
+
+    def counted(sys, x0, p0, times, *args, **kwargs):
+        signs.append({t > 0 for t in times if t != 0})
+        return inner(sys, x0, p0, times, *args, **kwargs)
+
+    monkeypatch.setattr(ham, "transition_many", counted)
+    system = catalog.builtin("engel")
+    _, code = cli.analyze_report(system, np.zeros(4),
+                                 np.array([0.8, 0.6, 0.5, -0.4]))
+    assert code == 0
+    assert sum(len(s) for s in signs) == 2

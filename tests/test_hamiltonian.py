@@ -59,13 +59,14 @@ def test_negative_time_flow():
     assert np.allclose(s.x, -0.5 * p0, atol=1e-12)
 
 
-def test_flow_many_matches_flow():
+def test_geodesic_matches_flow():
     sys = catalog.builtin("engel")
     p0 = np.array([0.9, 0.6, 0.4, -0.3])
     times = [0.1, 0.25, 0.5]
     singles = [ham.flow(sys, np.zeros(4), p0, t) for t in times]
-    batch = ham.flow_many(sys, np.zeros(4), p0, times)
-    for one, many in zip(singles, batch):
+    geodesic = ham.Geodesic(sys, np.zeros(4), p0, times)
+    for t, one in zip(times, singles):
+        many = geodesic.sample(t)
         assert np.allclose(one.x, many.x, atol=1e-11)
         assert np.allclose(one.p, many.p, atol=1e-11)
 
