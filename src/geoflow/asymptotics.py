@@ -90,6 +90,14 @@ def fit_times(window=(1e-2, 2e-1), samples=24):
     return list(np.geomspace(t_lo, t_hi, samples))
 
 
+def _ample_flag(sys, x0, p0):
+    base = fl.flag_at(sys, x0, p0)
+    if not base.ample:
+        raise AsymptoticsError("the flag is not ample; the expansion"
+                               " exponent is undefined here")
+    return base
+
+
 def fit_expansion_from(geodesic, window=(1e-2, 2e-1), samples=24,
                        residual_tol=1e-3):
     """Fit h(t) = log r(t) - N log t - int_0^t rho - offset by least
@@ -104,11 +112,7 @@ def fit_expansion_from(geodesic, window=(1e-2, 2e-1), samples=24,
     sys, x0, p0 = geodesic.sys, geodesic.x0, geodesic.p0
     ts = np.array(fit_times(window, samples))
     t_lo, t_hi = float(window[0]), float(window[1])
-    base = fl.flag_at(sys, x0, p0)
-    if not base.ample:
-        raise AsymptoticsError("the flag is not ample; the expansion"
-                               " exponent is undefined here")
-    dimension = base.dimension
+    dimension = _ample_flag(sys, x0, p0).dimension
 
     g0, *g = rh.gram_from(geodesic, [0.0] + list(ts))
     integrals = np.array(g) - g0
@@ -149,7 +153,9 @@ def fit_expansion_from(geodesic, window=(1e-2, 2e-1), samples=24,
 
 def fit_expansion(sys, x0, p0, window=(1e-2, 2e-1), samples=24,
                   residual_tol=1e-3, tol=ham.DEFAULT_TOL):
-    """fit_expansion_from on a geodesic integrated for its times alone."""
+    """fit_expansion_from on a geodesic integrated for its times alone.
+    A non-ample covector is rejected before anything is integrated."""
+    _ample_flag(sys, x0, p0)
     geodesic = ham.Geodesic(sys, x0, p0, fit_times(window, samples), tol)
     return fit_expansion_from(geodesic, window, samples, residual_tol)
 

@@ -252,6 +252,17 @@ def _growth_profile(sys, x, p, rank_tol, max_step):
     return tuple(ranks), tuple(per_level)
 
 
+def _trim(raw, dim):
+    """(growth, kept) of a rank profile.  kept ends at the last level that
+    gained rank; the reported growth is the whole profile when it reaches
+    full rank, else kept plus one stalled level to show the flag stopped
+    short."""
+    last_gain = max((i for i in range(1, len(raw)) if raw[i] > raw[i - 1]),
+                    default=0)
+    kept = raw[:last_gain + 1]
+    return (raw if raw[-1] == dim else raw[:last_gain + 2]), kept
+
+
 def flag_at(sys, x, p, rank_tol=RANK_TOL, max_step=None):
     """Geodesic flag at one covector.
 
@@ -275,20 +286,11 @@ def flag_at(sys, x, p, rank_tol=RANK_TOL, max_step=None):
                 "growth vector is tolerance sensitive: %r at %g times the"
                 " rank tolerance" % (alt, factor))
     ample = raw[-1] == sys.dim
-    last_gain = 0
-    for i in range(1, len(raw)):
-        if raw[i] > raw[i - 1]:
-            last_gain = i
-    if ample:
-        growth = raw
-    else:
-        # Keep one stalled level to show the flag stopped short.
-        growth = raw[:min(len(raw), last_gain + 2)]
-        if len(raw) >= 2 and raw[-1] > raw[-2]:
-            diagnostics.append(
-                "rank still increasing at the level cap %d; the flag may be"
-                " ample at a deeper level" % max_step)
-    kept = raw[:last_gain + 1]
+    growth, kept = _trim(raw, sys.dim)
+    if not ample and len(raw) >= 2 and raw[-1] > raw[-2]:
+        diagnostics.append(
+            "rank still increasing at the level cap %d; the flag may be"
+            " ample at a deeper level" % max_step)
     increments = tuple([kept[0]] + [kept[i] - kept[i - 1]
                                     for i in range(1, len(kept))])
     rows = young_diagram(increments)
@@ -349,8 +351,10 @@ def equiregular_from(geodesic, t_max, samples=5, rank_tol=RANK_TOL):
     base = flag_at(sys, geodesic.x0, geodesic.p0, rank_tol=rank_tol)
     growths = [base.growth]
     for t in equiregular_times(t_max, samples):
+        # Only the growth is read here: one rank profile, no diagnostics.
         s = geodesic.sample(t)
-        growths.append(flag_at(sys, s.x, s.p, rank_tol=rank_tol).growth)
+        raw, _ = _growth_profile(sys, s.x, s.p, rank_tol, sys.dim + 2)
+        growths.append(_trim(raw, sys.dim)[0])
     verdict = all(g == base.growth for g in growths)
     return base, verdict, tuple(growths)
 

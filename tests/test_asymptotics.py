@@ -13,6 +13,7 @@ import geoflow.catalog as cat
 import geoflow.exact as exact
 import geoflow.flag as fl
 import geoflow.geometry as geo
+import geoflow.hamiltonian as ham
 import geoflow.rho as rh
 
 WEIGHTED_E3 = {
@@ -174,6 +175,21 @@ def test_non_ample_covector_rejected():
     sys = cat.builtin("engel")
     with pytest.raises(asym.AsymptoticsError):
         asym.fit_expansion(sys, np.zeros(4), np.array([0.0, 1.0, 0.0, 0.0]))
+
+
+def test_non_ample_covector_rejected_before_integrating(monkeypatch):
+    calls = []
+    inner = ham.transition_many
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ham, "transition_many", counted)
+    sys = cat.builtin("engel")
+    with pytest.raises(asym.AsymptoticsError):
+        asym.fit_expansion(sys, np.zeros(4), np.array([0.0, 1.0, 0.0, 0.0]))
+    assert calls == []
 
 
 def test_fit_report_and_csv_roundtrip():

@@ -252,3 +252,31 @@ def test_analyze_integrates_once_per_time_sign(monkeypatch):
                                  np.array([0.8, 0.6, 0.5, -0.4]))
     assert code == 0
     assert sum(len(s) for s in signs) == 2
+
+
+def test_analyze_rhs_budget():
+    # Steps end only at the last time of each sign; DOPRI5 ending a step
+    # at every target made 1,084 evaluations here.
+    system = catalog.builtin("engel")
+    inner = ham._compiled(system, "rhs_fn")
+    calls = [0]
+
+    def counted(values):
+        calls[0] += 1
+        return inner(values)
+
+    system._cache["rhs_fn"] = counted
+    _, code = cli.analyze_report(system, np.zeros(4),
+                                 np.array([0.8, 0.6, 0.5, -0.4]))
+    assert code == 0
+    assert calls[0] <= 450
+
+
+def test_engel_two_path_rho_gap_stays_small():
+    system = catalog.builtin("engel")
+    rng = np.random.default_rng(41)
+    for _ in range(8):
+        p0 = catalog.sample_covector("engel", rng)
+        report, code = cli.analyze_report(system, np.zeros(4), p0)
+        assert code == 0
+        assert report["rho"]["gap"] <= 2e-6

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from geoflow import asymptotics as asym
 from geoflow import catalog
+from geoflow import flag as fl
 from geoflow import hamiltonian as ham
+from geoflow import rho as rh
 
 
 RNG = np.random.default_rng(11)
@@ -69,6 +72,29 @@ def test_geodesic_matches_flow():
         many = geodesic.sample(t)
         assert np.allclose(one.x, many.x, atol=1e-11)
         assert np.allclose(one.p, many.p, atol=1e-11)
+
+
+def test_dense_output_matches_step_ended_transitions():
+    # The geodesic serves interior times from the integrator's continuous
+    # extension; a single-time transition ends a step exactly there.
+    sys = catalog.builtin("engel")
+    x0 = np.zeros(4)
+    p0 = np.array([0.9, 0.6, 0.4, -0.3])
+    # the time set of one analyze_report with its default settings
+    times = (fl.equiregular_times(0.2) + rh.rho_times([0.0])
+             + rh.rho_flow_times() + asym.fit_times()
+             + asym.exponent_probe_times())
+    geodesic = ham.Geodesic(sys, x0, p0, times)
+    interior = sorted({t for t in times if 1e-3 <= abs(t) <= 0.15})
+    assert min(interior) < 0 < max(interior)
+    for t in interior:
+        _, many = geodesic.point(t)
+        _, one = ham.transition(sys, x0, p0, t)
+        assert np.allclose(many, one, rtol=0.0, atol=1e-11), t
+        sign_many, ld_many = ham.signed_log_det(ham.vertical_jacobian(many, 4))
+        sign_one, ld_one = ham.signed_log_det(ham.vertical_jacobian(one, 4))
+        assert sign_many == sign_one
+        assert abs(ld_many - ld_one) <= 1e-5, t
 
 
 def test_potential_projectile():
