@@ -10,6 +10,7 @@ equalities, no tolerance anywhere.
 from fractions import Fraction
 
 import geoflow.exact as exact
+import geoflow.flag as fl
 
 
 def main():
@@ -20,7 +21,7 @@ def main():
 
     print("\nleading constants from Young rows:")
     for rows in [(1, 1), (2, 1, 1, 1), (3, 1)]:
-        print("  rows %-12s C = %s" % (rows, exact.leading_constant_exact(rows)))
+        print("  rows %-12s C = %s" % (rows, fl.leading_constant(rows)))
 
     print("\ntrace identity n/(2(4n^2-1)):")
     for n in (2, 5, 10):

@@ -17,18 +17,17 @@ from .geometry import (GeometryError, VectorField, ControlSystem,
                        frame_determinant, load_structure,
                        structure_from_dict)
 from .hamiltonian import (IntegrationError, Geodesic, flow, transition,
-                          vertical_jacobian, signed_log_det, volume_ratio,
-                          log_volume_ratio)
+                          vertical_jacobian, signed_log_det)
 from .flag import (FlagError, GeodesicFlag, flag_at, geodesic_dimension,
                    homogeneous_weight, young_diagram, leading_constant,
-                   equiregular_on, admissible_extension)
-from .rho import (RhoError, rho_flow, rho_along, g_rel, gram_dets,
-                  log_volume_ratios, scaling_checks,
-                  riemannian_rho_field, riemannian_divergence_check)
+                   admissible_extension)
+from .rho import (RhoError, rho_flow, g_rel, log_volume_ratios,
+                  scaling_checks, riemannian_rho_field,
+                  riemannian_divergence_check)
 from .asymptotics import (AsymptoticsError, ExpansionFit, fit_expansion,
                           exponent_probe, ricci_oracle, fit_report,
                           write_fit_csv)
-from .catalog import (builtin, builtin_names, list_builtins, martinet,
+from .catalog import (builtin, list_builtins, martinet,
                       default_base, sample_covector, with_overrides)
 
 # Submodule bindings last, so package attributes stay modules even where
@@ -43,17 +42,15 @@ __all__ = [
     "aux_frame_at", "divergence", "frame_determinant", "load_structure",
     "structure_from_dict",
     "IntegrationError", "Geodesic", "flow", "transition",
-    "vertical_jacobian", "signed_log_det", "volume_ratio",
-    "log_volume_ratio",
+    "vertical_jacobian", "signed_log_det",
     "FlagError", "GeodesicFlag", "flag_at", "geodesic_dimension", "homogeneous_weight", "young_diagram",
-    "leading_constant", "equiregular_on", "admissible_extension",
-    "RhoError", "rho_flow", "rho_along", "g_rel", "gram_dets",
-    "log_volume_ratios", "scaling_checks", "riemannian_rho_field",
-    "riemannian_divergence_check",
+    "leading_constant", "admissible_extension",
+    "RhoError", "rho_flow", "g_rel", "log_volume_ratios", "scaling_checks",
+    "riemannian_rho_field", "riemannian_divergence_check",
     "AsymptoticsError", "ExpansionFit", "fit_expansion", "exponent_probe",
     "ricci_oracle", "fit_report", "write_fit_csv",
-    "builtin", "builtin_names", "list_builtins", "martinet",
-    "default_base", "sample_covector", "with_overrides",
+    "builtin", "list_builtins", "martinet", "default_base",
+    "sample_covector", "with_overrides",
     "exact", "expr", "geometry", "hamiltonian", "flag", "rho",
     "asymptotics", "catalog",
 ]

@@ -45,6 +45,14 @@ __all__ = [
     "exponent_probe", "ricci_oracle", "fit_report", "write_fit_csv",
 ]
 
+# Largest accepted norm of the fit residual.
+FIT_RESIDUAL_TOL = 1e-3
+
+# The exponent probe fits PROBE_SAMPLES times on a geometric grid over
+# PROBE_WINDOW.
+PROBE_WINDOW = (1e-3, 1e-2)
+PROBE_SAMPLES = 9
+
 
 class AsymptoticsError(RuntimeError):
     def __init__(self, message, residuals=None):
@@ -90,18 +98,16 @@ def fit_times(window=(1e-2, 2e-1), samples=24):
     return list(np.geomspace(t_lo, t_hi, samples))
 
 
-def _ample_flag(sys, x0, p0):
-    base = fl.flag_at(sys, x0, p0)
-    if not base.ample:
+def _require_ample(flag):
+    if not flag.ample:
         raise AsymptoticsError("the flag is not ample; the expansion"
                                " exponent is undefined here")
-    return base
 
 
-def fit_expansion_from(geodesic, window=(1e-2, 2e-1), samples=24,
-                       residual_tol=1e-3):
+def fit_expansion_from(geodesic, flag, window=(1e-2, 2e-1), samples=24):
     """Fit h(t) = log r(t) - N log t - int_0^t rho - offset by least
-    squares against 1, t^2, t^3 on a geometric grid, reading the geodesic.
+    squares against 1, t^2, t^3 on a geometric grid, reading the geodesic;
+    `flag` is flag_at at the geodesic's base covector.
 
     rho is dG/dtau along this very trajectory, so the running integral is
     the exact difference G(t) - G(0) at each sample time, and the offset
@@ -109,12 +115,13 @@ def fit_expansion_from(geodesic, window=(1e-2, 2e-1), samples=24,
     log C (directly comparable with the exact Young diagram constant),
     the quadratic coefficient times -6 is the curvature trace, and the
     cubic term only absorbs the next order of the remainder."""
-    sys, x0, p0 = geodesic.sys, geodesic.x0, geodesic.p0
+    _require_ample(flag)
+    sys, x0 = geodesic.sys, geodesic.x0
     ts = np.array(fit_times(window, samples))
     t_lo, t_hi = float(window[0]), float(window[1])
-    dimension = _ample_flag(sys, x0, p0).dimension
+    dimension = flag.dimension
 
-    g0, *g = rh.gram_from(geodesic, [0.0] + list(ts))
+    g0, *g = rh.gram_from(geodesic, flag, [0.0] + list(ts))
     integrals = np.array(g) - g0
     offset = 2.0 * g0 - 2.0 * math.log(sys.density_at(x0))
     log_r = rh.log_volume_ratios_from(geodesic, ts)
@@ -126,11 +133,11 @@ def fit_expansion_from(geodesic, window=(1e-2, 2e-1), samples=24,
     model = A @ coef
     resid = h - model
     residual_norm = float(np.linalg.norm(resid))
-    if residual_norm > residual_tol:
+    if residual_norm > FIT_RESIDUAL_TOL:
         raise AsymptoticsError(
             "expansion fit residual %.3g exceeds %.3g; the window does"
             " not look like the asymptotic regime" % (residual_norm,
-                                                      residual_tol),
+                                                      FIT_RESIDUAL_TOL),
             residuals=resid)
     c2 = float(coef[1]) / t_hi ** 2
     c3 = float(coef[2]) / t_hi ** 3
@@ -152,35 +159,34 @@ def fit_expansion_from(geodesic, window=(1e-2, 2e-1), samples=24,
 
 
 def fit_expansion(sys, x0, p0, window=(1e-2, 2e-1), samples=24,
-                  residual_tol=1e-3, tol=ham.DEFAULT_TOL):
+                  tol=ham.DEFAULT_TOL):
     """fit_expansion_from on a geodesic integrated for its times alone.
     A non-ample covector is rejected before anything is integrated."""
-    _ample_flag(sys, x0, p0)
+    flag = fl.flag_at(sys, x0, p0)
+    _require_ample(flag)
     geodesic = ham.Geodesic(sys, x0, p0, fit_times(window, samples), tol)
-    return fit_expansion_from(geodesic, window, samples, residual_tol)
+    return fit_expansion_from(geodesic, flag, window, samples)
 
 
-def exponent_probe_times(t_lo=1e-3, t_hi=1e-2, samples=9):
+def exponent_probe_times():
     """The trajectory times exponent_probe_from reads."""
-    return list(np.geomspace(t_lo, t_hi, samples))
+    return list(np.geomspace(*PROBE_WINDOW, PROBE_SAMPLES))
 
 
-def exponent_probe_from(geodesic, t_lo=1e-3, t_hi=1e-2, samples=9):
+def exponent_probe_from(geodesic):
     """Log-log slope of the volume ratio over a decade of small times; an
     estimate of the exponent N that never consults the flag."""
-    ts = np.geomspace(t_lo, t_hi, samples)
+    ts = np.geomspace(*PROBE_WINDOW, PROBE_SAMPLES)
     log_r = rh.log_volume_ratios_from(geodesic, ts)
-    A = np.column_stack([np.ones(samples), np.log(ts)])
+    A = np.column_stack([np.ones(PROBE_SAMPLES), np.log(ts)])
     coef, *_ = np.linalg.lstsq(A, log_r, rcond=None)
     return float(coef[1])
 
 
-def exponent_probe(sys, x0, p0, t_lo=1e-3, t_hi=1e-2, samples=9,
-                   tol=ham.DEFAULT_TOL):
+def exponent_probe(sys, x0, p0, tol=ham.DEFAULT_TOL):
     """exponent_probe_from on a geodesic integrated for its times alone."""
-    geodesic = ham.Geodesic(sys, x0, p0,
-                            exponent_probe_times(t_lo, t_hi, samples), tol)
-    return exponent_probe_from(geodesic, t_lo, t_hi, samples)
+    geodesic = ham.Geodesic(sys, x0, p0, exponent_probe_times(), tol)
+    return exponent_probe_from(geodesic)
 
 
 def ricci_oracle(name, sys=None, x0=None, p0=None):

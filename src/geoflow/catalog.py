@@ -21,7 +21,7 @@ from . import expr as ex
 from .geometry import ControlSystem, GeometryError, VectorField
 
 __all__ = [
-    "builtin", "builtin_names", "list_builtins", "default_base",
+    "builtin", "list_builtins", "default_base",
     "sample_covector", "with_overrides", "martinet",
 ]
 
@@ -133,11 +133,6 @@ def builtin(name):
         raise GeometryError("malformed builtin parameters in %r: %s"
                             % (text, err)) from None
     raise GeometryError("unknown builtin %r; try list-builtins" % text)
-
-
-def builtin_names():
-    return ["euclidean:n[:psi=<expr>]", "sphere2", "heisenberg3",
-            "heisenberg5:a1,a2", "engel"]
 
 
 def list_builtins():

@@ -56,7 +56,35 @@ def _window_arg(text):
     vals = _floats_arg(text)
     if vals.size != 2:
         raise argparse.ArgumentTypeError("window needs exactly two floats")
-    return (float(vals[0]), float(vals[1]))
+    window = (float(vals[0]), float(vals[1]))
+    try:
+        asym.fit_times(window)
+    except asym.AsymptoticsError as err:
+        raise argparse.ArgumentTypeError(str(err))
+    return window
+
+
+def _samples_arg(text):
+    try:
+        samples = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    if samples < 4:
+        raise argparse.ArgumentTypeError(
+            "the fit needs at least 4 samples for its 3 unknowns, got %d"
+            % samples)
+    return samples
+
+
+def _tol_arg(text):
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a float, got %r" % text)
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise argparse.ArgumentTypeError(
+            "the tolerance must be a finite number > 0, got %r" % text)
+    return tol
 
 
 def _rational_entry(value):
@@ -138,8 +166,7 @@ def _flag_section(flag):
 
 def analyze_report(system, x0, p0, window=(1e-2, 2e-1), samples=24,
                    tol=ham.DEFAULT_TOL, constant_tol=1e-3,
-                   rho_gap_tol=1e-5, ricci_tol=1e-2, fit=True,
-                   equiregular_samples=5):
+                   rho_gap_tol=1e-5, ricci_tol=1e-2, fit=True):
     """Run the full pipeline at one covector and emit a JSON-ready report
     plus the exit code the analysis maps to."""
     report = {
@@ -147,15 +174,20 @@ def analyze_report(system, x0, p0, window=(1e-2, 2e-1), samples=24,
         "base": [float(v) for v in x0],
         "covector": [float(v) for v in p0],
     }
-    # One geodesic serves every stage: collect the times each one reads.
-    times = fl.equiregular_times(window[1], equiregular_samples)
-    times += rh.rho_times([0.0]) + rh.rho_flow_times()
-    if fit:
-        times += asym.fit_times(window, samples) + asym.exponent_probe_times()
-    geodesic = ham.Geodesic(system, x0, p0, times, tol)
     try:
-        flag, verdict, growths = fl.equiregular_from(
-            geodesic, window[1], equiregular_samples)
+        # The base flag comes first, so a stationary covector is rejected
+        # before anything is integrated and a non-ample one is integrated
+        # only for its growth along the flow.  One geodesic serves every
+        # stage: collect the times each one reads.
+        flag = fl.flag_at(system, x0, p0)
+        times = fl.equiregular_times(window[1])
+        if flag.ample:
+            times += rh.rho_times([0.0]) + rh.rho_flow_times()
+            if fit:
+                times += (asym.fit_times(window, samples)
+                          + asym.exponent_probe_times())
+        geodesic = ham.Geodesic(system, x0, p0, times, tol)
+        verdict, growths = fl.equiregular_from(geodesic, flag, window[1])
     except fl.FlagError as err:
         report["status"] = "degenerate covector: %s" % err
         return report, EXIT_DEGENERATE
@@ -167,7 +199,7 @@ def analyze_report(system, x0, p0, window=(1e-2, 2e-1), samples=24,
                             else "growth vector changes along the flow")
         return report, EXIT_DEGENERATE
 
-    rho_gram = float(rh.rho_from(geodesic, [0.0])[0])
+    rho_gram = float(rh.rho_from(geodesic, flag, [0.0])[0])
     rho_from_flow = rh.rho_flow_from(geodesic, dimension=flag.dimension)
     rho_gap = abs(rho_gram - rho_from_flow)
     report["rho"] = {"gram": rho_gram, "flow": rho_from_flow,
@@ -175,7 +207,7 @@ def analyze_report(system, x0, p0, window=(1e-2, 2e-1), samples=24,
     checks = {"rho_two_path": rho_gap <= rho_gap_tol}
 
     if fit:
-        fitted = asym.fit_expansion_from(geodesic, window=window,
+        fitted = asym.fit_expansion_from(geodesic, flag, window=window,
                                          samples=samples)
         report["fit"] = asym.fit_report(fitted)
         c_exact = float(flag.leading)
@@ -237,8 +269,8 @@ def _sweep_row(system, x0, line, window, samples, tol):
         row["dimension"] = str(flag.dimension)
         times = rh.rho_times([0.0]) + asym.fit_times(window, samples)
         geodesic = ham.Geodesic(system, x0, p0, times, tol)
-        row["rho"] = repr(float(rh.rho_from(geodesic, [0.0])[0]))
-        fitted = asym.fit_expansion_from(geodesic, window=window,
+        row["rho"] = repr(float(rh.rho_from(geodesic, flag, [0.0])[0]))
+        fitted = asym.fit_expansion_from(geodesic, flag, window=window,
                                          samples=samples)
         row["C_fit"] = repr(float(fitted.constant))
         row["trR_fit"] = repr(float(fitted.trace_r))
@@ -377,11 +409,11 @@ def _add_common(parser, covector=True):
     parser.add_argument("--drift", help="override drift components,"
                                         " comma-separated expressions")
     parser.add_argument("--potential", help="override potential expression")
-    parser.add_argument("--tol", type=float, default=ham.DEFAULT_TOL,
+    parser.add_argument("--tol", type=_tol_arg, default=ham.DEFAULT_TOL,
                         help="integrator tolerance")
     parser.add_argument("--window", type=_window_arg, default=(1e-2, 2e-1),
                         help="fit window as lo,hi")
-    parser.add_argument("--samples", type=int, default=24,
+    parser.add_argument("--samples", type=_samples_arg, default=24,
                         help="fit sample count")
     parser.add_argument("--out", help="write output to this path instead"
                                       " of stdout")

@@ -15,15 +15,13 @@ import math
 from fractions import Fraction
 
 __all__ = [
-    "Rational", "RationalMatrix",
+    "RationalMatrix",
     "nhat", "ghat", "nhat_inverse_closed", "det_nhat", "det_formula",
-    "det_ratio_formula", "leading_constant_exact", "trace_identity",
+    "det_ratio_formula", "trace_identity",
     "comb_identity_A", "comb_identity_B", "lemma_b0",
     "hilbert_matrix", "hilbert_inverse_closed", "hilbert_row_sums_closed",
     "eta1_value",
 ]
-
-Rational = Fraction
 
 
 class RationalMatrix:
@@ -190,17 +188,6 @@ def det_ratio_formula(n):
     """Ratio det(n)/det(n-1) = ((n-1)!)^2 / ((2n-2)!(2n-1)!)."""
     return Fraction(math.factorial(n - 1) ** 2,
                     math.factorial(2 * n - 2) * math.factorial(2 * n - 1))
-
-
-def leading_constant_exact(rows):
-    """Leading coefficient of the volume expansion for a diagram with the
-    given row lengths: the product over rows of det_formula(row)."""
-    out = Fraction(1)
-    for r in rows:
-        if r < 1:
-            raise ValueError("row lengths must be positive")
-        out *= det_formula(r)
-    return out
 
 
 def trace_identity(n):

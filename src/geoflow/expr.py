@@ -21,7 +21,7 @@ __all__ = [
     "ExprError", "ExprSyntaxError", "UnknownIdentifierError",
     "NonIntegerExponentError",
     "parse", "diff", "simplify", "evaluate", "substitute", "compile_exprs",
-    "variables", "phase_variables",
+    "variables",
 ]
 
 
@@ -283,11 +283,6 @@ ONE = Const(1.0)
 def variables(n, prefix="x"):
     """Names x1..xn (or another prefix) for an n-dimensional chart."""
     return ["%s%d" % (prefix, i + 1) for i in range(n)]
-
-
-def phase_variables(n):
-    """Chart variables followed by fiber variables: x1..xn, p1..pn."""
-    return variables(n) + variables(n, prefix="p")
 
 
 # ----------------------------------------------------------------------

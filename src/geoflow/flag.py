@@ -37,12 +37,15 @@ from . import hamiltonian as ham
 __all__ = [
     "FlagError", "GeodesicFlag", "flag_at", "geodesic_dimension",
     "homogeneous_weight", "young_diagram", "leading_constant",
-    "equiregular_times", "equiregular_from", "equiregular_on",
-    "admissible_extension",
+    "equiregular_times", "equiregular_from", "admissible_extension",
     "poisson_taylor", "velocity_at",
 ]
 
 RANK_TOL = 1e-9
+
+# Points of the geodesic, the base included, at which equiregular_from
+# compares growth vectors.
+EQUIREGULAR_SAMPLES = 5
 
 
 class FlagError(ValueError):
@@ -224,7 +227,6 @@ class GeodesicFlag:
     weight: int
     young_rows: tuple
     leading: Fraction
-    rank_tol: float
     diagnostics: tuple
     bracket_columns: tuple
 
@@ -263,11 +265,11 @@ def _trim(raw, dim):
     return (raw if raw[-1] == dim else raw[:last_gain + 2]), kept
 
 
-def flag_at(sys, x, p, rank_tol=RANK_TOL, max_step=None):
+def flag_at(sys, x, p):
     """Geodesic flag at one covector.
 
-    The level ranks are computed from column-normalized singular values.
-    Levels run until full rank or the level cap (dim + 2 by default); a
+    The level ranks are computed from column-normalized singular values
+    at RANK_TOL.  Levels run until full rank or the level cap dim + 2; a
     flag that never reaches full rank is not ample, and its reported
     growth keeps one stalled level to show where it stopped.  Ranks are
     re-checked at a tenth and ten times the tolerance, and a diagnostic
@@ -275,12 +277,11 @@ def flag_at(sys, x, p, rank_tol=RANK_TOL, max_step=None):
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    if max_step is None:
-        max_step = sys.dim + 2
-    raw, per_level = _growth_profile(sys, x, p, rank_tol, max_step)
+    max_step = sys.dim + 2
+    raw, per_level = _growth_profile(sys, x, p, RANK_TOL, max_step)
     diagnostics = []
     for factor in (0.1, 10.0):
-        alt, _ = _growth_profile(sys, x, p, rank_tol * factor, max_step)
+        alt, _ = _growth_profile(sys, x, p, RANK_TOL * factor, max_step)
         if alt != raw:
             diagnostics.append(
                 "growth vector is tolerance sensitive: %r at %g times the"
@@ -304,7 +305,6 @@ def flag_at(sys, x, p, rank_tol=RANK_TOL, max_step=None):
         weight=homogeneous_weight(increments),
         young_rows=rows,
         leading=leading_constant(rows) if ample else Fraction(0),
-        rank_tol=rank_tol,
         diagnostics=tuple(diagnostics),
         bracket_columns=tuple(per_level),
     )
@@ -338,30 +338,23 @@ def leading_constant(young_rows):
     return out
 
 
-def equiregular_times(t_max, samples=5):
-    """The trajectory times equiregular_from reads: samples - 1 evenly
-    spaced points of (0, t_max]."""
-    return [t_max * i / (samples - 1) for i in range(1, samples)]
+def equiregular_times(t_max):
+    """The trajectory times equiregular_from reads: EQUIREGULAR_SAMPLES - 1
+    evenly spaced points of (0, t_max]."""
+    return [t_max * i / (EQUIREGULAR_SAMPLES - 1)
+            for i in range(1, EQUIREGULAR_SAMPLES)]
 
 
-def equiregular_from(geodesic, t_max, samples=5, rank_tol=RANK_TOL):
+def equiregular_from(geodesic, flag, t_max):
     """Check that the growth vector is the same at several points of the
-    geodesic over [0, t_max].  Returns (flag at 0, verdict, growths)."""
+    geodesic over [0, t_max]; `flag` is flag_at at the geodesic's base
+    covector.  Returns (verdict, growths), the base growth first."""
     sys = geodesic.sys
-    base = flag_at(sys, geodesic.x0, geodesic.p0, rank_tol=rank_tol)
-    growths = [base.growth]
-    for t in equiregular_times(t_max, samples):
+    growths = [flag.growth]
+    for t in equiregular_times(t_max):
         # Only the growth is read here: one rank profile, no diagnostics.
         s = geodesic.sample(t)
-        raw, _ = _growth_profile(sys, s.x, s.p, rank_tol, sys.dim + 2)
+        raw, _ = _growth_profile(sys, s.x, s.p, RANK_TOL, sys.dim + 2)
         growths.append(_trim(raw, sys.dim)[0])
-    verdict = all(g == base.growth for g in growths)
-    return base, verdict, tuple(growths)
-
-
-def equiregular_on(sys, x0, p0, t_max, samples=5, tol=ham.DEFAULT_TOL,
-                   rank_tol=RANK_TOL):
-    """equiregular_from on a geodesic integrated for its times alone."""
-    geodesic = ham.Geodesic(sys, x0, p0, equiregular_times(t_max, samples),
-                            tol)
-    return equiregular_from(geodesic, t_max, samples, rank_tol)
+    verdict = all(g == flag.growth for g in growths)
+    return verdict, tuple(growths)

@@ -158,14 +158,6 @@ class AuxFrame:
 
     matrix: np.ndarray
     complement: tuple
-    scale: float
-    point: np.ndarray
-
-    def check(self, sys, tol=1e-10):
-        value = sys.density_at(self.point) * np.linalg.det(self.matrix)
-        if abs(abs(value) - 1.0) > tol:
-            raise GeometryError("auxiliary frame is not unimodular: %r" % value)
-        return value
 
 
 def _greedy_complement(F, n, k):
@@ -225,7 +217,7 @@ def aux_frame_at(sys, x, complement=None):
     m = sys.density_at(x)
     zeta = 1.0 / (m * det0)
     Y[:, -1] = Y[:, -1] * zeta
-    return AuxFrame(matrix=Y, complement=complement, scale=zeta, point=x)
+    return AuxFrame(matrix=Y, complement=complement)
 
 
 def divergence(f, density=None, nchart=None):

@@ -23,8 +23,7 @@ from . import expr as ex
 __all__ = [
     "IntegrationError", "FlowSample", "Geodesic", "hamiltonian",
     "controls_at", "flow", "transition", "transition_many",
-    "vertical_jacobian", "signed_log_det", "volume_ratio",
-    "log_volume_ratio",
+    "vertical_jacobian", "signed_log_det",
 ]
 
 # Simulated relative accuracy for the adaptive integrator.
@@ -45,19 +44,14 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowSample:
-    """One point of a trajectory: time, position, covector, the control
-    values u_a = <p, X_a(x)>, the energy there, and its drift from t=0."""
+    """One point of a trajectory: time, position, covector, the energy
+    there, and its drift from t=0."""
 
     t: float
     x: np.ndarray
     p: np.ndarray
-    controls: np.ndarray
     energy: float
     energy_drift: float
-
-    @property
-    def phase(self):
-        return np.concatenate([self.x, self.p])
 
 
 # ----------------------------------------------------------------------
@@ -456,8 +450,7 @@ def _make_sample(sys, t, x, p, e0):
     if drift > ENERGY_SLACK * (1.0 + abs(e0)):
         raise IntegrationError(
             "energy drifted by %r at t=%r" % (drift, t), t_last=t)
-    return FlowSample(t=t, x=np.asarray(x), p=np.asarray(p),
-                      controls=controls_at(sys, x, p), energy=e,
+    return FlowSample(t=t, x=np.asarray(x), p=np.asarray(p), energy=e,
                       energy_drift=drift)
 
 
@@ -563,20 +556,3 @@ def signed_log_det(A):
         return 0.0, -math.inf
     total = logdet + float(np.sum(np.log(r))) + float(np.sum(np.log(c)))
     return float(sign), total
-
-
-def log_volume_ratio(sys, x0, p0, t, tol=DEFAULT_TOL):
-    """log of m(x(t)) |det dx(t)/dp(0)| / m(x0), fully in log space."""
-    sample, M = transition(sys, x0, p0, t, tol)
-    _, ld = vertical_log_det(sys, sample, M)
-    return ld + math.log(sys.density_at(sample.x)) - math.log(
-        sys.density_at(np.asarray(x0, dtype=float)))
-
-
-def vertical_log_det(sys, sample, M):
-    return signed_log_det(vertical_jacobian(M, sys.dim))
-
-
-def volume_ratio(sys, x0, p0, t, tol=DEFAULT_TOL):
-    """m(x(t)) |det dx(t)/dp(0)| / m(x0) at one time."""
-    return math.exp(log_volume_ratio(sys, x0, p0, t, tol))

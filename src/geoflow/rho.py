@@ -17,8 +17,9 @@ exact difference G(t) - G(0).
 
 Every stage reads a hamiltonian.Geodesic: `*_times` gives the trajectory
 times a stage needs and `*_from` computes it from a geodesic that holds
-them, so a caller running several stages integrates once.  The
-(sys, x0, p0) entry points build a geodesic for their own times.
+them and, where it needs one, the flag at the base covector, so a caller
+running several stages integrates once and builds one flag.  The
+(sys, x0, p0) entry points build both for their own times.
 """
 
 from __future__ import annotations
@@ -33,13 +34,19 @@ from . import hamiltonian as ham
 from . import expr as ex
 
 __all__ = [
-    "RhoError", "gram_dets", "gram_from", "g_rel", "rho_times", "rho_from",
-    "rho", "rho_along", "log_volume_ratios_from", "log_volume_ratios",
-    "rho_flow_times", "rho_flow_from", "rho_flow", "scaling_checks",
-    "riemannian_rho_field", "riemannian_divergence_check",
+    "RhoError", "gram_from", "g_rel", "rho_times", "rho_from", "rho",
+    "log_volume_ratios_from", "log_volume_ratios", "rho_flow_times",
+    "rho_flow_from", "rho_flow", "scaling_checks", "riemannian_rho_field",
+    "riemannian_divergence_check",
 ]
 
+# Step of the finite differences of G that give rho.
 FD_STEP = 1e-3
+
+# The volume-flow estimate of rho samples RHO_FLOW_SAMPLES times on a
+# geometric grid over RHO_FLOW_WINDOW, and their mirror images.
+RHO_FLOW_WINDOW = (3e-2, 1.5e-1)
+RHO_FLOW_SAMPLES = 20
 
 
 class RhoError(RuntimeError):
@@ -78,11 +85,11 @@ def _gram_log_of_levels(aux_matrix, growth, per_level):
     return logs
 
 
-def _point_gram(sys, x, p, complement, expected, rank_tol):
+def _point_gram(sys, x, p, complement, expected):
     """g = 1/2 sum_i log det M_i at one covector, with the growth vector
     required to equal `expected`."""
     aux = geo.aux_frame_at(sys, x, complement)
-    ranks, per_level = fl._growth_profile(sys, x, p, rank_tol,
+    ranks, per_level = fl._growth_profile(sys, x, p, fl.RANK_TOL,
                                           max_step=len(expected))
     if tuple(ranks) != tuple(expected):
         raise RhoError(
@@ -91,37 +98,26 @@ def _point_gram(sys, x, p, complement, expected, rank_tol):
     return 0.5 * sum(_gram_log_of_levels(aux.matrix, ranks, per_level))
 
 
-def gram_dets(sys, x, p, t=0.0, complement=None, rank_tol=fl.RANK_TOL,
-              tol=ham.DEFAULT_TOL):
-    """The per-level Gram determinants det M_i at the covector flowed to
-    time t (rebased there), plus the auxiliary frame used."""
-    if t:
-        s = ham.flow(sys, x, p, t, tol)
-        x, p = s.x, s.p
-    aux = geo.aux_frame_at(sys, x, complement)
-    ranks, per_level = fl._growth_profile(sys, x, p, rank_tol,
-                                          max_step=sys.dim + 2)
-    logs = _gram_log_of_levels(aux.matrix, ranks, per_level)
-    return [math.exp(v) for v in logs], aux
+def _require_ample(flag):
+    if not flag.ample:
+        raise RhoError("the flag is not ample; rho is undefined here")
 
 
-def gram_from(geodesic, times, complement=None, rank_tol=fl.RANK_TOL):
-    """G(tau) for every tau in times, read from the geodesic.
+def gram_from(geodesic, flag, times, complement=None):
+    """G(tau) for every tau in times, read from the geodesic; `flag` is
+    flag_at at the geodesic's base covector.
 
     The auxiliary completion is chosen once at the base point (or given)
     and kept along the trajectory, and the growth vector must stay that
     of the base covector."""
+    _require_ample(flag)
     sys = geodesic.sys
-    expected, _ = fl._growth_profile(sys, geodesic.x0, geodesic.p0,
-                                     rank_tol, max_step=sys.dim + 2)
-    if expected[-1] != sys.dim:
-        raise RhoError("the flag is not ample; rho is undefined here")
     comp = geo.aux_frame_at(sys, geodesic.x0, complement).complement
     values = {}
     for t in {float(t) for t in times}:
         s = geodesic.sample(t)
         try:
-            values[t] = _point_gram(sys, s.x, s.p, comp, expected, rank_tol)
+            values[t] = _point_gram(sys, s.x, s.p, comp, flag.raw_ranks)
         except geo.GeometryError as err:
             raise RhoError(
                 "auxiliary completion degenerated at t=%r: %s" % (t, err))
@@ -130,30 +126,34 @@ def gram_from(geodesic, times, complement=None, rank_tol=fl.RANK_TOL):
 
 def g_rel(sys, x0, p0, t, complement=None, tol=ham.DEFAULT_TOL):
     """G(t) - G(0): the running integral of rho along the trajectory."""
+    flag = fl.flag_at(sys, x0, p0)
+    _require_ample(flag)
     scalar = np.isscalar(t)
     ts = [float(t)] if scalar else [float(v) for v in t]
     geodesic = ham.Geodesic(sys, x0, p0, ts, tol)
-    vals = gram_from(geodesic, ts + [0.0], complement)
+    vals = gram_from(geodesic, flag, ts + [0.0], complement)
     base = vals[-1]
     out = [v - base for v in vals[:-1]]
     return out[0] if scalar else np.array(out)
 
 
-def rho_times(times, step=FD_STEP):
+def rho_times(times):
     """The trajectory times rho_from reads: four finite-difference nodes
     around each requested time."""
-    h = step
+    h = FD_STEP
     needed = []
     for s in times:
         needed.extend((s - h, s - h / 2, s + h / 2, s + h))
     return needed
 
 
-def rho_from(geodesic, times, complement=None, step=FD_STEP):
+def rho_from(geodesic, flag, times, complement=None):
     """rho at the flowed covectors lambda(s), s in times, read from the
-    geodesic: Richardson extrapolated central differences of G."""
-    h = step
-    vals = gram_from(geodesic, rho_times(times, step), complement)
+    geodesic: Richardson extrapolated central differences of G.  Every
+    value is a finite difference of the single function G, four G
+    evaluations per node."""
+    h = FD_STEP
+    vals = gram_from(geodesic, flag, rho_times(times), complement)
     out = []
     for i in range(len(times)):
         gm, gm2, gp2, gp = vals[4 * i: 4 * i + 4]
@@ -163,23 +163,13 @@ def rho_from(geodesic, times, complement=None, step=FD_STEP):
     return np.array(out)
 
 
-def rho(sys, x0, p0, complement=None, step=FD_STEP, tol=ham.DEFAULT_TOL):
+def rho(sys, x0, p0, complement=None, tol=ham.DEFAULT_TOL):
     """The invariant rho at one covector: dG/dtau at 0, by Richardson
     extrapolated central differences along the flow."""
-    return rho_along(sys, x0, p0, [0.0], complement, step, tol)[0]
-
-
-def rho_along(sys, x0, p0, times, complement=None, step=FD_STEP,
-              tol=ham.DEFAULT_TOL):
-    """rho at the flowed covectors lambda(s) for each s in times.
-
-    Every value is a finite difference of the single function G, so one
-    call costs four G evaluations per node, all read from one geodesic."""
-    scalar = np.isscalar(times)
-    times = [float(times)] if scalar else [float(s) for s in times]
-    geodesic = ham.Geodesic(sys, x0, p0, rho_times(times, step), tol)
-    out = rho_from(geodesic, times, complement, step)
-    return out[0] if scalar else out
+    flag = fl.flag_at(sys, x0, p0)
+    _require_ample(flag)
+    geodesic = ham.Geodesic(sys, x0, p0, rho_times([0.0]), tol)
+    return rho_from(geodesic, flag, [0.0], complement)[0]
 
 
 def log_volume_ratios_from(geodesic, times):
@@ -202,16 +192,16 @@ def log_volume_ratios(sys, x0, p0, times, tol=ham.DEFAULT_TOL):
                                   times)
 
 
-def rho_flow_times(t_lo=3e-2, t_hi=1.5e-1, samples=20):
+def rho_flow_times():
     """The trajectory times rho_flow_from reads: a geometric grid on
-    [t_lo, t_hi] and its mirror image."""
-    ts = np.geomspace(t_lo, t_hi, samples)
+    RHO_FLOW_WINDOW and its mirror image."""
+    ts = np.geomspace(*RHO_FLOW_WINDOW, RHO_FLOW_SAMPLES)
     return list(ts) + list(-ts)
 
 
-def rho_flow_from(geodesic, dimension=None, t_lo=3e-2, t_hi=1.5e-1,
-                  samples=20):
-    """Independent estimate of rho(lambda) from the volume flow itself.
+def rho_flow_from(geodesic, dimension):
+    """Independent estimate of rho(lambda) from the volume flow itself;
+    `dimension` is the geodesic dimension N at the base covector.
 
     log r(t) - N log|t| = log C + rho t + c2 t^2 + ... as a series in
     signed time, so sampling a sign-symmetric geometric grid decouples
@@ -224,12 +214,10 @@ def rho_flow_from(geodesic, dimension=None, t_lo=3e-2, t_hi=1.5e-1,
     singularities they dominate the error of a one-sided fit), and the
     window sits above the small-t noise floor of the variational
     determinant, whose graded entries lose relative accuracy as t -> 0."""
-    if dimension is None:
-        dimension = fl.flag_at(geodesic.sys, geodesic.x0,
-                               geodesic.p0).dimension
-    ts = np.geomspace(t_lo, t_hi, samples)
-    ys = log_volume_ratios_from(geodesic,
-                                rho_flow_times(t_lo, t_hi, samples))
+    samples = RHO_FLOW_SAMPLES
+    t_hi = RHO_FLOW_WINDOW[1]
+    ts = np.geomspace(*RHO_FLOW_WINDOW, samples)
+    ys = log_volume_ratios_from(geodesic, rho_flow_times())
     shift = dimension * np.log(ts)
     odd = 0.5 * ((ys[:samples] - shift) - (ys[samples:] - shift))
     tau = ts / t_hi
@@ -243,12 +231,13 @@ def rho_flow_from(geodesic, dimension=None, t_lo=3e-2, t_hi=1.5e-1,
     return float(coef[0] / t_hi)
 
 
-def rho_flow(sys, x0, p0, dimension=None, t_lo=3e-2, t_hi=1.5e-1, samples=20,
-             tol=ham.DEFAULT_TOL):
-    """rho_flow_from on a geodesic integrated for its times alone."""
-    geodesic = ham.Geodesic(sys, x0, p0,
-                            rho_flow_times(t_lo, t_hi, samples), tol)
-    return rho_flow_from(geodesic, dimension, t_lo, t_hi, samples)
+def rho_flow(sys, x0, p0, dimension=None, tol=ham.DEFAULT_TOL):
+    """rho_flow_from on a geodesic integrated for its times alone; the
+    dimension defaults to that of the flag at (x0, p0)."""
+    if dimension is None:
+        dimension = fl.flag_at(sys, x0, p0).dimension
+    geodesic = ham.Geodesic(sys, x0, p0, rho_flow_times(), tol)
+    return rho_flow_from(geodesic, dimension)
 
 
 def scaling_checks(sys, x0, p0, factors, t_probe=(0.05, 0.1, 0.2),

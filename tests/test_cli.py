@@ -8,6 +8,7 @@ import pytest
 
 import geoflow.catalog as catalog
 import geoflow.cli as cli
+import geoflow.flag as fl
 import geoflow.hamiltonian as ham
 
 MARTINET = {"name": "martinet", "dim": 3, "rank": 2,
@@ -91,7 +92,10 @@ def test_analyze_weight_shows_up_in_rho(capsys):
     assert report["rho"]["gram"] == pytest.approx(0.3, abs=1e-9)
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(tmp_path, capsys):
+    batch = tmp_path / "covs.txt"
+    batch.write_text("1,0\n")
+    flat = ["analyze", "euclidean:2", "--covector", "1,0"]
     cases = [
         [],
         ["bogus"],
@@ -101,6 +105,19 @@ def test_usage_errors_exit_one(capsys):
         ["analyze", "euclidean:2", "--covector", "1,0", "--window", "0.2"],
         ["analyze", "euclidean:2", "--covector", "1,0,0"],
         ["sweep", "euclidean:2", "/no/such/file.txt"],
+        flat + ["--window", "0.2,0.1"],
+        flat + ["--window", "0,0.1"],
+        flat + ["--samples", "-3"],
+        flat + ["--samples", "0"],
+        flat + ["--samples", "2"],
+        flat + ["--tol", "0"],
+        flat + ["--tol", "-1"],
+        flat + ["--tol", "nan"],
+        ["sweep", "euclidean:2", str(batch), "--samples", "3"],
+        ["sweep", "euclidean:2", str(batch), "--tol", "inf"],
+        ["expansion", "euclidean:2", "--covector", "1,0", "--window",
+         "0.1,0.1"],
+        ["expansion", "euclidean:2", "--covector", "1,0", "--tol", "-1e-9"],
     ]
     for argv in cases:
         assert run(argv) == 1, argv
@@ -280,3 +297,51 @@ def test_engel_two_path_rho_gap_stays_small():
         report, code = cli.analyze_report(system, np.zeros(4), p0)
         assert code == 0
         assert report["rho"]["gap"] <= 2e-6
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_one_base_flag_per_covector(monkeypatch, tmp_path, capsys):
+    flags = _counting(monkeypatch, fl, "flag_at")
+    profiles = _counting(monkeypatch, fl, "_growth_profile")
+    system = catalog.builtin("engel")
+    _, code = cli.analyze_report(system, np.zeros(4),
+                                 np.array([0.8, 0.6, 0.5, -0.4]))
+    assert code == 0
+    assert len(flags) == 1
+    # 3 for the base flag, 4 along the flow and 29 Gram evaluations
+    assert len(profiles) <= 36
+
+    del flags[:]
+    batch = tmp_path / "covs.txt"
+    batch.write_text("0.8,0.6,0.5,-0.4\n")
+    assert run(["sweep", "engel", str(batch)]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[1].endswith("ok")
+    assert len(flags) == 1
+
+
+def test_analyze_checks_the_flag_before_integrating(monkeypatch):
+    calls = _counting(monkeypatch, ham, "transition_many")
+    system = catalog.builtin("engel")
+    report, code = cli.analyze_report(system, np.zeros(4), np.zeros(4))
+    assert code == 2
+    assert report["status"].startswith("degenerate covector")
+    assert calls == []
+    # non-ample: only the growth-along-the-flow times, one sign
+    report, code = cli.analyze_report(system, np.zeros(4),
+                                      np.array([0.0, 1.0, 0.0, 0.0]))
+    assert code == 2
+    assert report["status"] == "non-ample covector"
+    assert len(calls) == 1
+    times = [t for t in calls[0][3] if t != 0]
+    assert times == fl.equiregular_times(0.2)

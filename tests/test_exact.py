@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from geoflow import exact
+from geoflow import flag as fl
 
 
 def test_det_matches_factorial_formula():
@@ -98,10 +99,10 @@ def test_eta1_values():
 
 
 def test_leading_constant_from_rows():
-    assert exact.leading_constant_exact([1, 1, 1]) == Fraction(1)
-    assert exact.leading_constant_exact([2, 1]) == Fraction(1, 12)
-    assert exact.leading_constant_exact([3, 1]) == Fraction(1, 8640)
-    assert exact.leading_constant_exact([2, 1, 1, 1]) == Fraction(1, 12)
+    assert fl.leading_constant([1, 1, 1]) == Fraction(1)
+    assert fl.leading_constant([2, 1]) == Fraction(1, 12)
+    assert fl.leading_constant([3, 1]) == Fraction(1, 8640)
+    assert fl.leading_constant([2, 1, 1, 1]) == Fraction(1, 12)
 
 
 def test_det_ratio_formula_consistency():

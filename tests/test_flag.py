@@ -127,18 +127,24 @@ def test_dimension_weight_pure_functions():
     assert fl.leading_constant((3, 1)) == Fraction(1, 8640)
 
 
-def test_equiregular_on_contact():
+def _equiregular(sys, x0, p0, t_max):
+    flag = fl.flag_at(sys, x0, p0)
+    geodesic = ham.Geodesic(sys, x0, p0, fl.equiregular_times(t_max))
+    return fl.equiregular_from(geodesic, flag, t_max)
+
+
+def test_equiregular_from_contact():
     sys = catalog.builtin("heisenberg3")
-    flag, ok, growths = fl.equiregular_on(sys, np.zeros(3),
-                                          np.array([1.0, 0.0, 1.0]), 0.3)
+    ok, growths = _equiregular(sys, np.zeros(3), np.array([1.0, 0.0, 1.0]),
+                               0.3)
     assert ok
     assert all(g == (2, 3) for g in growths)
 
 
 def test_equiregular_detects_martinet_jump():
     sys = catalog.martinet()
-    flag, ok, growths = fl.equiregular_on(sys, np.zeros(3),
-                                          np.array([1.0, 1.0, 0.7]), 0.3)
+    ok, growths = _equiregular(sys, np.zeros(3), np.array([1.0, 1.0, 0.7]),
+                               0.3)
     assert not ok
     assert growths[0] == (2, 2, 3)
     assert growths[-1] == (2, 3)

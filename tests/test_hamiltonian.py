@@ -144,9 +144,9 @@ def test_volume_ratio_euclidean_power():
     sys = catalog.builtin("euclidean:2")
     p0 = np.array([0.6, -0.8])
     for t in (0.05, 0.3, 1.0):
-        r = ham.volume_ratio(sys, np.zeros(2), p0, t)
+        r = math.exp(rh.log_volume_ratios(sys, np.zeros(2), p0, [t])[0])
         assert r == pytest.approx(t * t, rel=1e-10)
-    lr = ham.log_volume_ratio(sys, np.zeros(2), p0, 0.2)
+    lr = rh.log_volume_ratios(sys, np.zeros(2), p0, [0.2])[0]
     assert lr == pytest.approx(2 * math.log(0.2), rel=1e-10)
 
 

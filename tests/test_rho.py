@@ -1,11 +1,14 @@
 """The volume-dynamics invariant: Gram path, flow path, scaling laws."""
 
+import math
+
 import numpy as np
 import pytest
 
 from geoflow import catalog
 from geoflow import flag as fl
 from geoflow import geometry as geo
+from geoflow import hamiltonian as ham
 from geoflow import rho as rh
 
 
@@ -75,14 +78,20 @@ def test_two_paths_agree_on_engel():
         assert abs(a - b) <= 1e-5
 
 
-def test_rho_along_shapes():
+def _rho_from(sys, x0, p0, times):
+    flag = fl.flag_at(sys, x0, p0)
+    geodesic = ham.Geodesic(sys, x0, p0, rh.rho_times(times))
+    return rh.rho_from(geodesic, flag, times)
+
+
+def test_rho_from_shapes():
     sys = catalog.builtin("heisenberg3")
     p0 = np.array([1.0, 0.0, 1.0])
-    scalar = rh.rho_along(sys, np.zeros(3), p0, 0.1)
-    vec = rh.rho_along(sys, np.zeros(3), p0, [0.0, 0.1, 0.2])
-    assert np.isscalar(scalar)
+    single = _rho_from(sys, np.zeros(3), p0, [0.1])
+    vec = _rho_from(sys, np.zeros(3), p0, [0.0, 0.1, 0.2])
+    assert single.shape == (1,)
     assert len(vec) == 3
-    assert vec[1] == pytest.approx(scalar, abs=1e-12)
+    assert vec[1] == pytest.approx(single[0], abs=1e-12)
 
 
 def test_complement_independence():
@@ -110,20 +119,23 @@ def test_g_rel_linear_for_constant_rho():
     assert np.allclose(g, 0.3 * ts, atol=1e-9)
 
 
-def test_g_rel_consistent_with_rho_along():
+def test_g_rel_consistent_with_rho_from():
     # d/dt g_rel = rho(lambda(t)) by central differences
     sys = catalog.builtin("engel")
     p0 = np.array([0.8, 0.6, 0.5, -0.4])
     t, h = 0.1, 1e-3
     g = rh.g_rel(sys, np.zeros(4), p0, [t - h, t + h])
     slope = (g[1] - g[0]) / (2 * h)
-    spot = rh.rho_along(sys, np.zeros(4), p0, t)
+    spot = _rho_from(sys, np.zeros(4), p0, [t])[0]
     assert slope == pytest.approx(spot, abs=1e-7)
 
 
 def test_gram_dets_positive_and_unimodular():
     sys = catalog.builtin("heisenberg3")
-    dets, aux = rh.gram_dets(sys, np.zeros(3), np.array([1.0, 0.0, 1.0]))
+    flag = fl.flag_at(sys, np.zeros(3), np.array([1.0, 0.0, 1.0]))
+    aux = geo.aux_frame_at(sys, np.zeros(3))
+    dets = [math.exp(v) for v in rh._gram_log_of_levels(
+        aux.matrix, flag.raw_ranks, flag.bracket_columns)]
     assert len(dets) == 2
     assert all(d > 0 for d in dets)
     # k < n normalization: the first Gram determinant is exactly 1
@@ -169,3 +181,21 @@ def test_log_volume_ratios_mixed_signs():
     ys = rh.log_volume_ratios(sys, np.zeros(3), p0, [0.1, -0.1])
     # reversing time flips the covector; the ratio is even here
     assert ys[0] == pytest.approx(ys[1], abs=1e-9)
+
+
+def test_non_ample_covector_rejected_before_integrating(monkeypatch):
+    calls = []
+    inner = ham.transition_many
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ham, "transition_many", counted)
+    sys = catalog.builtin("engel")
+    p0 = np.array([0.0, 1.0, 0.0, 0.0])
+    with pytest.raises(rh.RhoError, match="the flag is not ample"):
+        rh.rho(sys, np.zeros(4), p0)
+    with pytest.raises(rh.RhoError, match="the flag is not ample"):
+        rh.g_rel(sys, np.zeros(4), p0, [0.1])
+    assert calls == []
