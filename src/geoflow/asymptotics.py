@@ -55,9 +55,7 @@ PROBE_SAMPLES = 9
 
 
 class AsymptoticsError(RuntimeError):
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
+    pass
 
 
 @dataclass(frozen=True)
@@ -83,11 +81,6 @@ class ExpansionFit:
     def constant(self):
         return math.exp(self.log_constant)
 
-    @property
-    def curvature_coefficient(self):
-        """The raw t^2 coefficient; trace_r is -6 times this."""
-        return -self.trace_r / 6.0
-
 
 def fit_times(window=(1e-2, 2e-1), samples=24):
     """The trajectory times fit_expansion_from reads: a geometric grid on
@@ -95,6 +88,8 @@ def fit_times(window=(1e-2, 2e-1), samples=24):
     t_lo, t_hi = float(window[0]), float(window[1])
     if not (0.0 < t_lo < t_hi):
         raise AsymptoticsError("the fit window must satisfy 0 < t_lo < t_hi")
+    if not math.isfinite(t_hi):
+        raise AsymptoticsError("the fit window must end at a finite time")
     return list(np.geomspace(t_lo, t_hi, samples))
 
 
@@ -131,16 +126,19 @@ def fit_expansion_from(geodesic, flag, window=(1e-2, 2e-1), samples=24):
     A = np.column_stack([np.ones_like(tau), tau ** 2, tau ** 3])
     coef, *_ = np.linalg.lstsq(A, h, rcond=None)
     model = A @ coef
-    resid = h - model
-    residual_norm = float(np.linalg.norm(resid))
+    residual_norm = float(np.linalg.norm(h - model))
     if residual_norm > FIT_RESIDUAL_TOL:
         raise AsymptoticsError(
             "expansion fit residual %.3g exceeds %.3g; the window does"
             " not look like the asymptotic regime" % (residual_norm,
-                                                      FIT_RESIDUAL_TOL),
-            residuals=resid)
-    c2 = float(coef[1]) / t_hi ** 2
-    c3 = float(coef[2]) / t_hi ** 3
+                                                      FIT_RESIDUAL_TOL))
+    try:
+        c2 = float(coef[1]) / t_hi ** 2
+        c3 = float(coef[2]) / t_hi ** 3
+    except (OverflowError, ZeroDivisionError):
+        raise AsymptoticsError(
+            "the fit window end %r is out of range for rescaling the fit"
+            % t_hi) from None
     return ExpansionFit(
         dimension=dimension,
         window=(t_lo, t_hi),

@@ -33,7 +33,7 @@ def _euclidean(n, psi=None):
         comps = ["0"] * n
         comps[i] = "1"
         cols.append(VectorField.from_strings(comps, names))
-    density = ex.exp(ex.parse(psi, names)) if psi else ex.Const(1.0)
+    density = ex.Call("exp", ex.parse(psi, names)) if psi else ex.Const(1.0)
     label = "euclidean:%d" % n if psi is None else "euclidean:%d:psi=%s" % (n, psi)
     return ControlSystem(dim=n, rank=n, X0=VectorField.zero(n),
                          frame=tuple(cols), Q=ex.Const(0.0), density=density,

@@ -46,10 +46,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _floats_arg(text):
     try:
-        return np.array([float(v) for v in str(text).split(",") if v != ""])
+        vals = np.array([float(v) for v in str(text).split(",") if v != ""])
     except ValueError:
+        vals = None
+    if vals is None or not np.all(np.isfinite(vals)):
         raise argparse.ArgumentTypeError(
-            "expected comma-separated floats, got %r" % text)
+            "expected comma-separated finite floats, got %r" % text)
+    return vals
 
 
 def _window_arg(text):
@@ -259,6 +262,8 @@ def _sweep_row(system, x0, line, window, samples, tol):
     row["covector"] = text
     try:
         p0 = np.array([float(v) for v in text.split(",")])
+        if not np.all(np.isfinite(p0)):
+            raise ValueError("covector entries must be finite")
         if p0.size != system.dim:
             raise geo.GeometryError("covector size mismatch")
         flag = fl.flag_at(system, x0, p0)

@@ -64,37 +64,8 @@ class Expr:
 
     __slots__ = ("key",)
 
-    def __add__(self, other):
-        return Add((self, _coerce(other)))
-
-    def __radd__(self, other):
-        return Add((_coerce(other), self))
-
-    def __sub__(self, other):
-        return Add((self, Neg(_coerce(other))))
-
-    def __rsub__(self, other):
-        return Add((_coerce(other), Neg(self)))
-
-    def __mul__(self, other):
-        return Mul((self, _coerce(other)))
-
-    def __rmul__(self, other):
-        return Mul((_coerce(other), self))
-
-    def __truediv__(self, other):
-        return Div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return Div(_coerce(other), self)
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            raise NonIntegerExponentError("exponent must be an integer, got %r" % (k,))
-        return Pow(self, k)
-
-    def __neg__(self):
-        return Neg(self)
+    def __setattr__(self, name, value):
+        raise AttributeError("expression nodes are immutable")
 
     def __hash__(self):
         return self.key
@@ -103,23 +74,12 @@ class Expr:
         return to_text(self)
 
 
-def _coerce(value):
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, (int, float)):
-        return Const(float(value))
-    raise TypeError("cannot use %r in an expression" % (value,))
-
-
 class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
         object.__setattr__(self, "value", float(value))
         object.__setattr__(self, "key", hash((_K_CONST, self.value)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
 
     def __eq__(self, other):
         return isinstance(other, Const) and other.value == self.value
@@ -134,9 +94,6 @@ class Var(Expr):
         object.__setattr__(self, "index", int(index))
         object.__setattr__(self, "key", hash((_K_VAR, self.index)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
-
     def __eq__(self, other):
         return isinstance(other, Var) and other.index == self.index
 
@@ -150,9 +107,6 @@ class Add(Expr):
         terms = tuple(terms)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "key", hash((_K_ADD,) + tuple(t.key for t in terms)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
 
     def __eq__(self, other):
         return (isinstance(other, Add) and other.key == self.key
@@ -169,9 +123,6 @@ class Mul(Expr):
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "key", hash((_K_MUL,) + tuple(f.key for f in factors)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
-
     def __eq__(self, other):
         return (isinstance(other, Mul) and other.key == self.key
                 and other.factors == self.factors)
@@ -187,9 +138,6 @@ class Div(Expr):
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "key", hash((_K_DIV, num.key, den.key)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
-
     def __eq__(self, other):
         return (isinstance(other, Div) and other.key == self.key
                 and other.num == self.num and other.den == self.den)
@@ -203,9 +151,6 @@ class Neg(Expr):
     def __init__(self, arg):
         object.__setattr__(self, "arg", arg)
         object.__setattr__(self, "key", hash((_K_NEG, arg.key)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
 
     def __eq__(self, other):
         return isinstance(other, Neg) and other.key == self.key and other.arg == self.arg
@@ -226,9 +171,6 @@ class Pow(Expr):
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "key", hash((_K_POW, base.key, exponent)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
-
     def __eq__(self, other):
         return (isinstance(other, Pow) and other.key == self.key
                 and other.exponent == self.exponent and other.base == self.base)
@@ -246,34 +188,11 @@ class Call(Expr):
         object.__setattr__(self, "arg", arg)
         object.__setattr__(self, "key", hash((_K_CALL, _FUNC_CODES[fn], arg.key)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
-
     def __eq__(self, other):
         return (isinstance(other, Call) and other.key == self.key
                 and other.fn == self.fn and other.arg == self.arg)
 
     __hash__ = Expr.__hash__
-
-
-def sin(e):
-    return Call("sin", _coerce(e))
-
-
-def cos(e):
-    return Call("cos", _coerce(e))
-
-
-def exp(e):
-    return Call("exp", _coerce(e))
-
-
-def log(e):
-    return Call("log", _coerce(e))
-
-
-def sqrt(e):
-    return Call("sqrt", _coerce(e))
 
 
 ZERO = Const(0.0)
@@ -699,7 +618,8 @@ def evaluate(e, values):
 
 def substitute(e, mapping):
     """Replace variables by expressions; mapping is {index: Expr|number}."""
-    repl = {i: _coerce(v) for i, v in mapping.items()}
+    repl = {i: v if isinstance(v, Expr) else Const(v)
+            for i, v in mapping.items()}
 
     def walk(node, memo):
         found = memo.get(id(node))

@@ -67,34 +67,23 @@ def poisson_bracket(f, g, n):
 def _poisson_exprs(sys, order):
     """Control derivative expressions U[i][r] = (d/dt)^r u_i as phase
     functions, r = 0..order."""
-    cached = sys._cache.get(("poisson_exprs", order))
-    if cached is not None:
-        return cached
-    n = sys.dim
+    return sys.cached(("poisson_exprs", order),
+                      lambda: _build_poisson_exprs(sys, order))
+
+
+def _build_poisson_exprs(sys, order):
+    if order == 0:
+        return tuple((u,) for u in ham._control_exprs(sys))
     H = ham.hamiltonian(sys)
-    if order > 0:
-        lower = _poisson_exprs(sys, order - 1)
-        rows = [list(row) for row in lower]
-        for row in rows:
-            row.append(poisson_bracket(H, row[-1], n))
-    else:
-        p = [ex.Var(n + i) for i in range(n)]
-        rows = [[ex.simplify(ex.Add(tuple(
-            ex.Mul((p[m], f.components[m])) for m in range(n))))]
-            for f in sys.frame]
-    rows = tuple(tuple(row) for row in rows)
-    sys._cache[("poisson_exprs", order)] = rows
-    return rows
+    return tuple(row + (poisson_bracket(H, row[-1], sys.dim),)
+                 for row in _poisson_exprs(sys, order - 1))
 
 
 def poisson_taylor(sys, x, p, order):
     """Control jet at a covector: array of shape (k, order+1) whose
     (i, r) entry is (d/dt)^r u_i at t = 0."""
-    fn = sys._cache.get(("poisson_fn", order))
-    if fn is None:
-        rows = _poisson_exprs(sys, order)
-        fn = ex.compile_exprs([e for row in rows for e in row])
-        sys._cache[("poisson_fn", order)] = fn
+    fn = sys.cached(("poisson_fn", order), lambda: ex.compile_exprs(
+        [e for row in _poisson_exprs(sys, order) for e in row]))
     vals = fn(list(x) + list(p))
     return np.array(vals, dtype=float).reshape(sys.rank, order + 1)
 
@@ -116,9 +105,11 @@ def velocity_at(sys, x, p):
 
 
 def _extension_field(sys, order):
-    cached = sys._cache.get(("ext_T", order))
-    if cached is not None:
-        return cached
+    return sys.cached(("ext_T", order),
+                      lambda: _build_extension_field(sys, order))
+
+
+def _build_extension_field(sys, order):
     n, k = sys.dim, sys.rank
     s = ex.Add(tuple(
         ex.Mul((ex.Var(n + q), ex.Add((ex.Var(q), ex.Neg(ex.Var(2 * n + q))))))
@@ -138,9 +129,7 @@ def _extension_field(sys, order):
             terms.append(ex.Mul((ex.Add(tuple(poly)),
                                  sys.frame[i].components[m])))
         comps.append(ex.simplify(ex.Add(tuple(terms))))
-    T = geo.VectorField(tuple(comps))
-    sys._cache[("ext_T", order)] = T
-    return T
+    return geo.VectorField(tuple(comps))
 
 
 def _extension_level_at_order(sys, j, order):
@@ -149,23 +138,19 @@ def _extension_level_at_order(sys, j, order):
     a larger order builds a depth-j bracket inside a deeper computation."""
     if j == 0:
         return sys.frame
-    cached = sys._cache.get(("ext_level_o", j, order))
-    if cached is not None:
-        return cached
-    T = _extension_field(sys, order)
-    prev = _extension_level_at_order(sys, j - 1, order)
-    fields = tuple(geo.lie_bracket(T, W, nchart=sys.dim) for W in prev)
-    sys._cache[("ext_level_o", j, order)] = fields
-    return fields
+
+    def build():
+        T = _extension_field(sys, order)
+        return tuple(geo.lie_bracket(T, W, nchart=sys.dim)
+                     for W in _extension_level_at_order(sys, j - 1, order))
+
+    return sys.cached(("ext_level_o", j, order), build)
 
 
 def _extension_fn(sys, j):
-    fn = sys._cache.get(("ext_fn", j))
-    if fn is None:
-        fields = _extension_level_at_order(sys, j, j)
-        fn = ex.compile_exprs([c for W in fields for c in W.components])
-        sys._cache[("ext_fn", j)] = fn
-    return fn
+    return sys.cached(("ext_fn", j), lambda: ex.compile_exprs(
+        [c for W in _extension_level_at_order(sys, j, j)
+         for c in W.components]))
 
 
 def _extension_params(sys, x, p, order):
@@ -187,18 +172,6 @@ def _bracket_columns(sys, x, p, j):
     args = list(np.asarray(x, dtype=float)) + _extension_params(sys, x, p, j)
     vals = fn(args)
     return np.array(vals, dtype=float).reshape(k, n).T
-
-
-def _rank_of(columns, rank_tol):
-    cols = []
-    for c in columns:
-        nc = float(np.linalg.norm(c))
-        if nc > 0.0:
-            cols.append(c / nc)
-    if not cols:
-        return 0
-    sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
-    return int(np.sum(sv > rank_tol * sv[0]))
 
 
 def admissible_extension(sys, x, p, order):
@@ -231,27 +204,46 @@ class GeodesicFlag:
     bracket_columns: tuple
 
 
-def _growth_profile(sys, x, p, rank_tol, max_step):
-    # The rank profile can pause for one level and then resume (a level
-    # that adds no direction at the point may still feed later levels),
-    # so a single no-gain level does not stop the loop; two in a row do.
-    columns = []
+def _closed(ranks, dim):
+    return bool(ranks) and (ranks[-1] == dim or (
+        len(ranks) >= 3 and ranks[-1] == ranks[-2] == ranks[-3]))
+
+
+def _growth_profile(sys, x, p, max_step, factors=(1.0,)):
+    """Rank profiles of the accumulated bracket columns at (x, p), one per
+    factor of RANK_TOL, and the bracket columns of the first profile's
+    levels.
+
+    Each level takes one SVD of the column-normalized accumulated columns
+    and reads the rank of every profile still open from it; a deeper
+    level is evaluated only while some profile is open.  A profile can
+    pause for one level and then resume (a level that adds no direction
+    at the point may still feed later levels), so it closes at full rank
+    or after two no-gain levels in a row, not after one."""
+    profiles = tuple([] for _ in factors)
+    cols = []
     per_level = []
-    ranks = []
     for j in range(max_step):
+        todo = [(factor, ranks) for factor, ranks in zip(factors, profiles)
+                if not _closed(ranks, sys.dim)]
+        if not todo:
+            break
         C = _bracket_columns(sys, x, p, j)
         per_level.append(C)
-        columns.extend(C[:, a] for a in range(sys.rank))
-        r = _rank_of(columns, rank_tol)
-        if j == 0 and r < sys.rank:
-            raise FlagError(
-                "frame fields are dependent at %s" % (list(np.asarray(x)),))
-        ranks.append(r)
-        if r == sys.dim:
-            break
-        if len(ranks) >= 3 and ranks[-1] == ranks[-2] == ranks[-3]:
-            break
-    return tuple(ranks), tuple(per_level)
+        for c in C.T:
+            nc = float(np.linalg.norm(c))
+            if nc > 0.0:
+                cols.append(c / nc)
+        if cols:
+            sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+        for factor, ranks in todo:
+            r = int(np.sum(sv > RANK_TOL * factor * sv[0])) if cols else 0
+            if j == 0 and r < sys.rank:
+                raise FlagError("frame fields are dependent at %s"
+                                % (np.asarray(x).tolist(),))
+            ranks.append(r)
+    profiles = tuple(tuple(ranks) for ranks in profiles)
+    return profiles, tuple(per_level[:len(profiles[0])])
 
 
 def _trim(raw, dim):
@@ -271,21 +263,20 @@ def flag_at(sys, x, p):
     The level ranks are computed from column-normalized singular values
     at RANK_TOL.  Levels run until full rank or the level cap dim + 2; a
     flag that never reaches full rank is not ample, and its reported
-    growth keeps one stalled level to show where it stopped.  Ranks are
-    re-checked at a tenth and ten times the tolerance, and a diagnostic
-    is recorded if the growth vector is sensitive to that choice.
+    growth keeps one stalled level to show where it stopped.  The same
+    singular values are read at a tenth and ten times the tolerance, in
+    one pass over the levels, and a diagnostic is recorded if the growth
+    vector is sensitive to that choice.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     max_step = sys.dim + 2
-    raw, per_level = _growth_profile(sys, x, p, RANK_TOL, max_step)
-    diagnostics = []
-    for factor in (0.1, 10.0):
-        alt, _ = _growth_profile(sys, x, p, RANK_TOL * factor, max_step)
-        if alt != raw:
-            diagnostics.append(
-                "growth vector is tolerance sensitive: %r at %g times the"
-                " rank tolerance" % (alt, factor))
+    factors = (1.0, 0.1, 10.0)
+    (raw, *alts), per_level = _growth_profile(sys, x, p, max_step, factors)
+    diagnostics = [
+        "growth vector is tolerance sensitive: %r at %g times the rank"
+        " tolerance" % (alt, factor)
+        for factor, alt in zip(factors[1:], alts) if alt != raw]
     ample = raw[-1] == sys.dim
     growth, kept = _trim(raw, sys.dim)
     if not ample and len(raw) >= 2 and raw[-1] > raw[-2]:
@@ -354,7 +345,7 @@ def equiregular_from(geodesic, flag, t_max):
     for t in equiregular_times(t_max):
         # Only the growth is read here: one rank profile, no diagnostics.
         s = geodesic.sample(t)
-        raw, _ = _growth_profile(sys, s.x, s.p, RANK_TOL, sys.dim + 2)
+        (raw,), _ = _growth_profile(sys, s.x, s.p, sys.dim + 2)
         growths.append(_trim(raw, sys.dim)[0])
     verdict = all(g == flag.growth for g in growths)
     return verdict, tuple(growths)

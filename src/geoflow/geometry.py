@@ -61,9 +61,6 @@ class VectorField:
             self._cache["fn"] = fn
         return np.array(fn(list(x)), dtype=float)
 
-    def simplified(self):
-        return VectorField(tuple(ex.simplify(c) for c in self.components))
-
     def __repr__(self):
         return "VectorField(%s)" % ", ".join(str(c) for c in self.components)
 
@@ -122,28 +119,31 @@ class ControlSystem:
         if self.X0.dim != self.dim or any(f.dim != self.dim for f in self.frame):
             raise GeometryError("field dimensions must equal the chart dimension")
 
-    # compiled helpers, built lazily and cached on the instance
-
-    def _fn(self, key, builder):
-        fn = self._cache.get(key)
-        if fn is None:
-            fn = builder()
-            self._cache[key] = fn
-        return fn
+    def cached(self, key, build):
+        """The per-structure product stored under `key`, made by calling
+        `build()` on first use.  Symbolic assemblies and compiled
+        evaluators are built once per structure this way."""
+        value = self._cache.get(key)
+        if value is None:
+            value = build()
+            self._cache[key] = value
+        return value
 
     def frame_matrix(self, x):
         """Frame field values at x as an (n, k) matrix of columns."""
-        fn = self._fn("frame_fn", lambda: ex.compile_exprs(
+        fn = self.cached("frame_fn", lambda: ex.compile_exprs(
             [c for f in self.frame for c in f.components]))
         vals = fn(list(x))
         return np.array(vals, dtype=float).reshape(self.rank, self.dim).T
 
     def drift_at(self, x):
-        fn = self._fn("drift_fn", lambda: ex.compile_exprs(self.X0.components))
+        fn = self.cached("drift_fn",
+                         lambda: ex.compile_exprs(self.X0.components))
         return np.array(fn(list(x)), dtype=float)
 
     def density_at(self, x):
-        fn = self._fn("density_fn", lambda: ex.compile_exprs([self.density]))
+        fn = self.cached("density_fn",
+                         lambda: ex.compile_exprs([self.density]))
         value = fn(list(x))[0]
         if not value > 0.0:
             raise GeometryError("density is not positive at %s" % (list(x),))

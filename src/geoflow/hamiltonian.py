@@ -36,10 +36,9 @@ ENERGY_SLACK = 1e-8
 class IntegrationError(RuntimeError):
     """Adaptive integration failed; carries the last trusted time."""
 
-    def __init__(self, message, t_last=None, state=None):
+    def __init__(self, message, t_last=None):
         super().__init__(message)
         self.t_last = t_last
-        self.state = state
 
 
 @dataclass(frozen=True)
@@ -60,9 +59,10 @@ class FlowSample:
 
 def hamiltonian(sys):
     """The Hamiltonian as an expression over (x1..xn, p1..pn)."""
-    cached = sys._cache.get("ham_expr")
-    if cached is not None:
-        return cached
+    return sys.cached("ham_expr", lambda: _build_hamiltonian(sys))
+
+
+def _build_hamiltonian(sys):
     n = sys.dim
     p = [ex.Var(n + i) for i in range(n)]
 
@@ -70,50 +70,45 @@ def hamiltonian(sys):
         return ex.Add(tuple(ex.Mul((p[i], f.components[i])) for i in range(n)))
 
     quad = [ex.Pow(pair(f), 2) for f in sys.frame]
-    H = ex.Add((
+    return ex.simplify(ex.Add((
         ex.Mul((ex.Const(0.5), ex.Add(tuple(quad)))),
         pair(sys.X0),
         ex.Mul((ex.Const(0.5), sys.Q)),
-    ))
-    H = ex.simplify(H)
-    sys._cache["ham_expr"] = H
-    return H
+    )))
 
 
-def _compiled(sys, key):
-    fn = sys._cache.get(key)
-    if fn is not None:
-        return fn
+def _rhs_fn(sys):
+    """The Hamiltonian vector field followed by its row-major Jacobian,
+    in one evaluator so the two share their common subexpressions."""
+    return sys.cached("rhs_fn", lambda: _build_rhs(sys))
+
+
+def _build_rhs(sys):
     n = sys.dim
     H = hamiltonian(sys)
-    if key == "ham_fn":
-        fn = ex.compile_exprs([H])
-    elif key == "rhs_fn":
-        # The Hamiltonian vector field followed by its row-major Jacobian,
-        # in one evaluator so the two share their common subexpressions.
-        rhs = [ex.simplify(ex.diff(H, n + i)) for i in range(n)]
-        rhs += [ex.simplify(ex.Neg(ex.diff(H, i))) for i in range(n)]
-        jac = [ex.simplify(ex.diff(r, j)) for r in rhs for j in range(2 * n)]
-        fn = ex.compile_exprs(rhs + jac)
-    elif key == "controls_fn":
-        p = [ex.Var(n + i) for i in range(n)]
-        us = [ex.simplify(ex.Add(tuple(
-            ex.Mul((p[i], f.components[i])) for i in range(n))))
-            for f in sys.frame]
-        fn = ex.compile_exprs(us)
-    else:
-        raise KeyError(key)
-    sys._cache[key] = fn
-    return fn
+    rhs = [ex.simplify(ex.diff(H, n + i)) for i in range(n)]
+    rhs += [ex.simplify(ex.Neg(ex.diff(H, i))) for i in range(n)]
+    jac = [ex.simplify(ex.diff(r, j)) for r in rhs for j in range(2 * n)]
+    return ex.compile_exprs(rhs + jac)
 
 
 def energy_at(sys, x, p):
-    fn = _compiled(sys, "ham_fn")
+    fn = sys.cached("ham_fn", lambda: ex.compile_exprs([hamiltonian(sys)]))
     return float(fn(list(x) + list(p))[0])
 
 
+def _control_exprs(sys):
+    """The controls u_a = <p, X_a(x)> as expressions over (x, p)."""
+    n = sys.dim
+    p = [ex.Var(n + i) for i in range(n)]
+    return [ex.simplify(ex.Add(tuple(
+        ex.Mul((p[i], f.components[i])) for i in range(n))))
+        for f in sys.frame]
+
+
 def controls_at(sys, x, p):
-    fn = _compiled(sys, "controls_fn")
+    fn = sys.cached("controls_fn",
+                    lambda: ex.compile_exprs(_control_exprs(sys)))
     return np.array(fn(list(x) + list(p)), dtype=float)
 
 
@@ -385,7 +380,7 @@ def _integrate(f, y0, targets, rtol, atol):
     k1 = f(y)
     if not np.all(np.isfinite(k1)):
         raise IntegrationError("vector field undefined at the start",
-                               t_last=0.0, state=y)
+                               t_last=0.0)
     end = targets[-1]
     direction = 1.0 if end > 0 else -1.0
     h = _initial_step(f, y, k1, direction, rtol, atol)
@@ -398,11 +393,11 @@ def _integrate(f, y0, targets, rtol, atol):
         steps += 1
         if steps > _MAX_STEPS:
             raise IntegrationError(
-                "step limit reached at t=%r" % t, t_last=t, state=y)
+                "step limit reached at t=%r" % t, t_last=t)
         h = min(h, abs(end - t))
         if not h > 0 or not np.all(np.isfinite(y)):
             raise IntegrationError(
-                "flow lost accuracy at t=%r" % t, t_last=t, state=y)
+                "flow lost accuracy at t=%r" % t, t_last=t)
         hs = h * direction
         with np.errstate(over="ignore", invalid="ignore"):
             K[0] = k1
@@ -419,7 +414,7 @@ def _integrate(f, y0, targets, rtol, atol):
             h *= 0.1
             if h < 1e-14 * max(1.0, abs(t)):
                 raise IntegrationError(
-                    "flow blew up near t=%r" % t, t_last=t, state=y)
+                    "flow blew up near t=%r" % t, t_last=t)
             continue
         if err <= 1.0:
             t_new = t + hs
@@ -438,7 +433,7 @@ def _integrate(f, y0, targets, rtol, atol):
         h = h * min(6.0, max(0.333, 0.9 * max(err, 1e-10) ** -0.125))
         if err > 1.0 and h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(
-                "step size underflow at t=%r" % t, t_last=t, state=y)
+                "step size underflow at t=%r" % t, t_last=t)
     # The last target, and any within rounding of it, take the end state.
     out.extend((t, y.copy()) for _ in targets[len(out):])
     return out
@@ -463,7 +458,7 @@ def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL):
     n = sys.dim
     x0 = np.asarray(x0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
-    rhs = _compiled(sys, "rhs_fn")
+    rhs = _rhs_fn(sys)
     m = 2 * n
 
     def f(y):

@@ -89,8 +89,7 @@ def _point_gram(sys, x, p, complement, expected):
     """g = 1/2 sum_i log det M_i at one covector, with the growth vector
     required to equal `expected`."""
     aux = geo.aux_frame_at(sys, x, complement)
-    ranks, per_level = fl._growth_profile(sys, x, p, fl.RANK_TOL,
-                                          max_step=len(expected))
+    (ranks,), per_level = fl._growth_profile(sys, x, p, len(expected))
     if tuple(ranks) != tuple(expected):
         raise RhoError(
             "growth vector changed along the flow: %r versus %r"
@@ -257,18 +256,28 @@ def scaling_checks(sys, x0, p0, factors, t_probe=(0.05, 0.1, 0.2),
             raise RhoError(
                 "scaling checks need a structure with no drift and no"
                 " potential")
-    base_rho = rho(sys, x0, p0, tol=tol)
+
+    def rho_and_g(p, ts):
+        # One flag and one geodesic per covector: rho at it and
+        # G(t) - G(0) at each of ts.
+        flag = fl.flag_at(sys, x0, p)
+        _require_ample(flag)
+        geodesic = ham.Geodesic(sys, x0, p, rho_times([0.0]) + ts, tol)
+        g0, *g = gram_from(geodesic, flag, [0.0] + ts)
+        return rho_from(geodesic, flag, [0.0])[0], np.array(g) - g0
+
+    t_probe = list(t_probe)
+    base_rho, g_base = rho_and_g(
+        p0, [c * t for c in factors for t in t_probe])
     worst_rho = 0.0
     worst_g = 0.0
-    for c in factors:
-        scaled = rho(sys, x0, c * p0, tol=tol)
+    for c, g_c in zip(factors, g_base.reshape(len(factors), len(t_probe))):
+        scaled, g_scaled = rho_and_g(c * p0, t_probe)
         # Relative where rho is of visible size, absolute where it
         # vanishes (both sides then agree near machine level anyway).
         denom = max(abs(c * base_rho), 1e-6)
         worst_rho = max(worst_rho, abs(scaled - c * base_rho) / denom)
-        g_scaled = g_rel(sys, x0, c * p0, list(t_probe), tol=tol)
-        g_base = g_rel(sys, x0, p0, [c * t for t in t_probe], tol=tol)
-        worst_g = max(worst_g, float(np.max(np.abs(g_scaled - g_base))))
+        worst_g = max(worst_g, float(np.max(np.abs(g_scaled - g_c))))
     return {"rho_rel": worst_rho, "g_abs": worst_g, "rho_base": base_rho}
 
 

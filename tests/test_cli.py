@@ -69,10 +69,19 @@ def test_analyze_structure_file_nonequiregular(tmp_path, capsys):
 
 
 def test_analyze_numerical_failure_exit(capsys):
-    rc = run(["analyze", "euclidean:2", "--covector", "1,0",
-              "--drift", "20*x1^2,0"])
-    capsys.readouterr()
-    assert rc == 3
+    cases = [
+        ["analyze", "euclidean:2", "--covector", "1,0",
+         "--drift", "20*x1^2,0"],
+        # the fit's time rescaling overflows or underflows
+        ["analyze", "euclidean:2", "--covector", "1,0",
+         "--window", "0.1,1e300"],
+        ["analyze", "euclidean:2", "--covector", "1,0",
+         "--window", "1e-300,1e-299"],
+    ]
+    for argv in cases:
+        assert run(argv) == 3, argv
+        assert capsys.readouterr().err.startswith(
+            ("integration failure", "numerical failure")), argv
 
 
 def test_analyze_no_fit_skips_the_expansion(capsys):
@@ -107,6 +116,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["sweep", "euclidean:2", "/no/such/file.txt"],
         flat + ["--window", "0.2,0.1"],
         flat + ["--window", "0,0.1"],
+        flat + ["--window", "0.1,inf"],
+        ["analyze", "heisenberg3", "--covector", "0.6,0.8,nan"],
+        ["analyze", "heisenberg3", "--covector", "0.6,0.8,1",
+         "--base", "0,nan,0"],
         flat + ["--samples", "-3"],
         flat + ["--samples", "0"],
         flat + ["--samples", "2"],
@@ -143,7 +156,7 @@ def test_list_builtins_names(capsys):
 
 
 def test_sweep_statuses_in_input_order(tmp_path, capsys):
-    covectors = ["1,0,1", "0,0,1", "1,0"]
+    covectors = ["1,0,1", "0,0,1", "1,0", "0.6,0.8,nan"]
     batch = tmp_path / "covs.txt"
     batch.write_text("".join(c + "\n" for c in covectors))
     rc = run(["sweep", "heisenberg3", str(batch)])
@@ -158,12 +171,13 @@ def test_sweep_statuses_in_input_order(tmp_path, capsys):
         assert alone == [lines[0], lines[i + 1]]
     assert lines[0].rstrip() == ("covector,growth,dimension,rho,C_fit,"
                                  "trR_fit,residual,status")
-    assert len(lines) == 4
+    assert len(lines) == 5
     first = lines[1].split(",")
     assert first[0] == '"1'  # quoted because the covector contains commas
     assert lines[1].rstrip().endswith("ok")
     assert "degenerate" in lines[2]
     assert "bad-input" in lines[3]
+    assert "bad-input" in lines[4]
     ok_fields = lines[1].rsplit(",", 5)
     assert float(ok_fields[2]) == pytest.approx(1.0 / 12.0, rel=1e-3)
 
@@ -275,7 +289,7 @@ def test_analyze_rhs_budget():
     # Steps end only at the last time of each sign; DOPRI5 ending a step
     # at every target made 1,084 evaluations here.
     system = catalog.builtin("engel")
-    inner = ham._compiled(system, "rhs_fn")
+    inner = ham._rhs_fn(system)
     calls = [0]
 
     def counted(values):
@@ -319,8 +333,8 @@ def test_one_base_flag_per_covector(monkeypatch, tmp_path, capsys):
                                  np.array([0.8, 0.6, 0.5, -0.4]))
     assert code == 0
     assert len(flags) == 1
-    # 3 for the base flag, 4 along the flow and 29 Gram evaluations
-    assert len(profiles) <= 36
+    # 1 for the base flag, 4 along the flow and 29 Gram evaluations
+    assert len(profiles) <= 34
 
     del flags[:]
     batch = tmp_path / "covs.txt"

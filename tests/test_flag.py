@@ -7,6 +7,7 @@ import pytest
 
 from geoflow import catalog
 from geoflow import flag as fl
+from geoflow import geometry as geo
 from geoflow import hamiltonian as ham
 
 
@@ -100,6 +101,41 @@ def test_stationary_covector_raises():
     sys = catalog.builtin("heisenberg3")
     with pytest.raises(fl.FlagError):
         fl.flag_at(sys, np.zeros(3), np.array([0.0, 0.0, 1.0]))
+
+
+def test_dependent_frame_names_the_point():
+    sys = geo.structure_from_dict({
+        "dim": 2, "rank": 2, "X0": ["0", "0"],
+        "frame": [["1", "0"], ["x2", "x1"]], "Q": "0", "density": "1"})
+    with pytest.raises(fl.FlagError,
+                       match=r"frame fields are dependent at \[0\.0, 0\.0\]"):
+        fl.flag_at(sys, np.zeros(2), np.array([1.0, 0.5]))
+
+
+def _nearly_contact(eps):
+    # X1 = d1, X2 = (1 + x1) d2 + eps x1 d3: the bracket [X1, X2] has a
+    # d3 component of size eps, close to the rank tolerance
+    return geo.structure_from_dict({
+        "dim": 3, "rank": 2, "X0": ["0", "0", "0"],
+        "frame": [["1", "0", "0"], ["0", "1 + x1", "%r*x1" % eps]],
+        "Q": "0", "density": "1"})
+
+
+def test_tolerance_sensitive_growth_is_diagnosed():
+    p0 = np.array([1.0, 0.5, 0.3])
+    f = fl.flag_at(_nearly_contact(3e-9), np.zeros(3), p0)
+    assert f.growth == (2, 3)
+    assert f.diagnostics == (
+        "growth vector is tolerance sensitive: (2, 2, 2) at 10 times the"
+        " rank tolerance",)
+    f = fl.flag_at(_nearly_contact(3e-10), np.zeros(3), p0)
+    assert f.growth == (2, 2)
+    assert not f.ample
+    assert f.diagnostics == (
+        "growth vector is tolerance sensitive: (2, 3) at 0.1 times the"
+        " rank tolerance",)
+    # the bracket columns are those of the reported (1x) profile
+    assert len(f.bracket_columns) == len(f.raw_ranks)
 
 
 def test_monotone_increments_on_builtins():

@@ -199,3 +199,25 @@ def test_non_ample_covector_rejected_before_integrating(monkeypatch):
     with pytest.raises(rh.RhoError, match="the flag is not ample"):
         rh.g_rel(sys, np.zeros(4), p0, [0.1])
     assert calls == []
+
+
+def test_scaling_checks_one_flag_and_geodesic_per_covector(monkeypatch):
+    flags, geodesics = [], []
+    flag_at, transition_many = fl.flag_at, ham.transition_many
+
+    def counted_flag(*args, **kwargs):
+        flags.append(args)
+        return flag_at(*args, **kwargs)
+
+    def counted_transitions(*args, **kwargs):
+        geodesics.append(args)
+        return transition_many(*args, **kwargs)
+
+    monkeypatch.setattr(fl, "flag_at", counted_flag)
+    monkeypatch.setattr(ham, "transition_many", counted_transitions)
+    sys = catalog.builtin("heisenberg3")
+    rh.scaling_checks(sys, np.zeros(3), np.array([0.6, 0.8, 1.1]),
+                      [0.5, 2.0, 3.0])
+    # the base covector and its three multiples
+    assert len(flags) == 4
+    assert len(geodesics) == 4
