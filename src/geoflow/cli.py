@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _floats_arg(text):
     try:
-        vals = np.array([float(v) for v in str(text).split(",") if v != ""])
+        vals = np.array([float(v) for v in str(text).split(",")])
     except ValueError:
         vals = None
     if vals is None or not np.all(np.isfinite(vals)):
@@ -432,12 +432,12 @@ def _build_parser():
 
     p_an = sub.add_parser("analyze", help="full pipeline at one covector")
     _add_common(p_an)
-    p_an.add_argument("--constant-tol", type=float, default=1e-3,
+    p_an.add_argument("--constant-tol", type=_tol_arg, default=1e-3,
                       help="relative gap allowed between fitted and exact"
                            " leading constants")
-    p_an.add_argument("--rho-gap-tol", type=float, default=1e-5,
+    p_an.add_argument("--rho-gap-tol", type=_tol_arg, default=1e-5,
                       help="gap allowed between the two rho computations")
-    p_an.add_argument("--ricci-tol", type=float, default=1e-2,
+    p_an.add_argument("--ricci-tol", type=_tol_arg, default=1e-2,
                       help="gap allowed against a closed-form curvature"
                            " trace")
     p_an.add_argument("--no-fit", action="store_true",

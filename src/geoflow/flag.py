@@ -209,41 +209,75 @@ def _closed(ranks, dim):
         len(ranks) >= 3 and ranks[-1] == ranks[-2] == ranks[-3]))
 
 
-def _growth_profile(sys, x, p, max_step, factors=(1.0,)):
-    """Rank profiles of the accumulated bracket columns at (x, p), one per
-    factor of RANK_TOL, and the bracket columns of the first profile's
-    levels.
+def _growth_profile(sys, points, max_step, factors=(1.0,)):
+    """Rank profiles of the accumulated bracket columns at each covector
+    (x, p) of `points`, one per factor of RANK_TOL.  Returns one entry per
+    point: (profiles, bracket columns of the first profile's levels), or
+    the FlagError that point raised.
 
-    Each level takes one SVD of the column-normalized accumulated columns
-    and reads the rank of every profile still open from it; a deeper
-    level is evaluated only while some profile is open.  A profile can
-    pause for one level and then resume (a level that adds no direction
-    at the point may still feed later levels), so it closes at full rank
-    or after two no-gain levels in a row, not after one."""
-    profiles = tuple([] for _ in factors)
-    cols = []
-    per_level = []
+    Each level evaluates the bracket columns of every point with a
+    profile still open, normalizes them, drops the vanishing ones, and
+    takes one SVD of the accumulated columns per distinct column count
+    for all of those points; the rank of every open profile is read from
+    it.  A profile can pause for one level and then resume (a level that
+    adds no direction at the point may still feed later levels), so it
+    closes at full rank or after two no-gain levels in a row, not after
+    one."""
+    n = sys.dim
+    profiles = [tuple([] for _ in factors) for _ in points]
+    per_level = [[] for _ in points]
+    rows = [np.empty((0, n)) for _ in points]
+    failed = {}
     for j in range(max_step):
-        todo = [(factor, ranks) for factor, ranks in zip(factors, profiles)
-                if not _closed(ranks, sys.dim)]
-        if not todo:
+        level = {}
+        for i, (x, p) in enumerate(points):
+            if i in failed or all(_closed(r, n) for r in profiles[i]):
+                continue
+            try:
+                level[i] = _bracket_columns(sys, x, p, j)
+            except FlagError as err:
+                failed[i] = err
+        if not level:
             break
-        C = _bracket_columns(sys, x, p, j)
-        per_level.append(C)
-        for c in C.T:
-            nc = float(np.linalg.norm(c))
-            if nc > 0.0:
-                cols.append(c / nc)
-        if cols:
-            sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
-        for factor, ranks in todo:
-            r = int(np.sum(sv > RANK_TOL * factor * sv[0])) if cols else 0
-            if j == 0 and r < sys.rank:
-                raise FlagError("frame fields are dependent at %s"
-                                % (np.asarray(x).tolist(),))
-            ranks.append(r)
-    profiles = tuple(tuple(ranks) for ranks in profiles)
-    return profiles, tuple(per_level[:len(profiles[0])])
+        # One contiguous row per bracket column: each norm is then the
+        # same dot product numpy.linalg.norm takes of one column.
+        R = np.array([C.T for C in level.values()])
+        norms = np.sqrt((R[:, :, None, :] @ R[:, :, :, None])[:, :, 0, 0])
+        by_count = {}
+        for i, Ri, ni in zip(level, R, norms):
+            per_level[i].append(level[i])
+            keep = ni > 0.0
+            rows[i] = np.concatenate([rows[i], Ri[keep] / ni[keep, None]])
+            by_count.setdefault(len(rows[i]), []).append(i)
+        for group in by_count.values():
+            sv = np.linalg.svd(np.swapaxes(
+                np.array([rows[i] for i in group]), 1, 2), compute_uv=False)
+            by_factor = [np.sum(sv > RANK_TOL * factor * sv[:, :1], axis=1)
+                         for factor in factors]
+            for g, i in enumerate(group):
+                for ranks, counts in zip(profiles[i], by_factor):
+                    if _closed(ranks, n):
+                        continue
+                    r = int(counts[g])
+                    if j == 0 and r < sys.rank:
+                        failed[i] = FlagError(
+                            "frame fields are dependent at %s"
+                            % (np.asarray(points[i][0]).tolist(),))
+                        break
+                    ranks.append(r)
+    return [failed[i] if i in failed else (
+        tuple(tuple(r) for r in profiles[i]),
+        tuple(per_level[i][:len(profiles[i][0])]))
+        for i in range(len(points))]
+
+
+def _first_failure_raised(results):
+    """_growth_profile results, after raising the error of the first point
+    that failed."""
+    for result in results:
+        if isinstance(result, FlagError):
+            raise result
+    return results
 
 
 def _trim(raw, dim):
@@ -272,7 +306,8 @@ def flag_at(sys, x, p):
     p = np.asarray(p, dtype=float)
     max_step = sys.dim + 2
     factors = (1.0, 0.1, 10.0)
-    (raw, *alts), per_level = _growth_profile(sys, x, p, max_step, factors)
+    [((raw, *alts), per_level)] = _first_failure_raised(
+        _growth_profile(sys, [(x, p)], max_step, factors))
     diagnostics = [
         "growth vector is tolerance sensitive: %r at %g times the rank"
         " tolerance" % (alt, factor)
@@ -341,11 +376,11 @@ def equiregular_from(geodesic, flag, t_max):
     geodesic over [0, t_max]; `flag` is flag_at at the geodesic's base
     covector.  Returns (verdict, growths), the base growth first."""
     sys = geodesic.sys
-    growths = [flag.growth]
-    for t in equiregular_times(t_max):
-        # Only the growth is read here: one rank profile, no diagnostics.
-        s = geodesic.sample(t)
-        (raw,), _ = _growth_profile(sys, s.x, s.p, sys.dim + 2)
-        growths.append(_trim(raw, sys.dim)[0])
+    samples = [geodesic.sample(t) for t in equiregular_times(t_max)]
+    # Only the growth is read here: one rank profile, no diagnostics.
+    results = _first_failure_raised(_growth_profile(
+        sys, [(s.x, s.p) for s in samples], sys.dim + 2))
+    growths = [flag.growth] + [_trim(raw, sys.dim)[0]
+                               for (raw,), _ in results]
     verdict = all(g == flag.growth for g in growths)
     return verdict, tuple(growths)

@@ -359,7 +359,8 @@ def _extension(f, y, y_new, K, hs):
 
 
 def _interpolate(y, F, theta):
-    """The continuous extension at the fraction theta of its step."""
+    """The continuous extension at the fraction theta of its step; a
+    column of fractions gives one row per fraction."""
     acc = F[6] * theta
     for i in range(5, -1, -1):
         acc = (acc + F[i]) * (theta if i % 2 == 0 else 1.0 - theta)
@@ -372,8 +373,9 @@ def _integrate(f, y0, targets, rtol, atol):
 
     Steps are chosen by the tolerance alone and end only at the last
     target; every earlier target is read from the 7th-order continuous
-    extension of the accepted step that holds it, and only such steps pay
-    for the extension's three extra stages."""
+    extension of the accepted step that holds it, all of a step's targets
+    in one evaluation, and only such steps pay for the extension's three
+    extra stages."""
     f = _safe(f)
     y = np.asarray(y0, dtype=float).copy()
     t = 0.0
@@ -418,13 +420,15 @@ def _integrate(f, y0, targets, rtol, atol):
             continue
         if err <= 1.0:
             t_new = t + hs
-            F = None
-            while (len(out) < len(targets) - 1
-                   and (targets[len(out)] - t_new) * direction <= 0):
-                target = targets[len(out)]
-                if F is None:
-                    F = _extension(f, y, y_new, K, hs)
-                out.append((target, _interpolate(y, F, (target - t) / hs)))
+            first = stop = len(out)
+            while (stop < len(targets) - 1
+                   and (targets[stop] - t_new) * direction <= 0):
+                stop += 1
+            if stop > first:
+                inside = targets[first:stop]
+                theta = np.array([(target - t) / hs for target in inside])
+                F = _extension(f, y, y_new, K, hs)
+                out.extend(zip(inside, _interpolate(y, F, theta[:, None])))
             t = t_new
             y = y_new
             k1 = K[12].copy()
@@ -533,21 +537,28 @@ def vertical_jacobian(M, n):
 
 
 def signed_log_det(A):
-    """(sign, log|det|) after row and column max-abs equilibration.
+    """(sign, log|det|) after row and column max-abs equilibration, of one
+    matrix or of each matrix of a stack (..., n, n).  A matrix with a zero
+    row or column, or a zero pivot, gives (0, -inf).
 
     Graded Jacobians have rows and columns spanning many decades; the
     balanced determinant keeps full relative accuracy where a plain LU
-    would not.
+    would not.  LAPACK factors each matrix of a stack on its own, so a
+    stacked entry equals the one-matrix value.
     """
     A = np.asarray(A, dtype=float)
-    r = np.max(np.abs(A), axis=1)
-    if np.any(r == 0.0):
-        return 0.0, -math.inf
-    B = A / r[:, None]
-    c = np.max(np.abs(B), axis=0)
-    B = B / c[None, :]
-    sign, logdet = np.linalg.slogdet(B)
-    if sign == 0.0:
-        return 0.0, -math.inf
-    total = logdet + float(np.sum(np.log(r))) + float(np.sum(np.log(c)))
-    return float(sign), total
+    stack = A.reshape((-1,) + A.shape[-2:])
+    r = np.max(np.abs(stack), axis=2)
+    c = np.max(np.abs(stack), axis=1)
+    live = np.all(r != 0.0, axis=1) & np.all(c != 0.0, axis=1)
+    sign = np.zeros(len(stack))
+    total = np.full(len(stack), -math.inf)
+    r = r[live]
+    B = stack[live] / r[:, :, None]
+    c = np.max(np.abs(B), axis=1)
+    sign[live], logdet = np.linalg.slogdet(B / c[:, None, :])
+    total[live] = logdet + np.sum(np.log(r), axis=1) + np.sum(np.log(c),
+                                                              axis=1)
+    if A.ndim == 2:
+        return float(sign[0]), float(total[0])
+    return sign.reshape(A.shape[:-2]), total.reshape(A.shape[:-2])

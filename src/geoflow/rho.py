@@ -20,6 +20,13 @@ times a stage needs and `*_from` computes it from a geodesic that holds
 them and, where it needs one, the flag at the base covector, so a caller
 running several stages integrates once and builds one flag.  The
 (sys, x0, p0) entry points build both for their own times.
+
+Each stage stacks its per-point linear algebra: gram_from takes the rank
+profiles of all its points level by level and runs each step of the Gram
+determinants as one LAPACK or matmul call over the stack, and
+log_volume_ratios_from takes one log-determinant call for all its times.
+LAPACK treats each matrix of a stack on its own, so every value equals
+its one-point computation bit for bit.
 """
 
 from __future__ import annotations
@@ -53,11 +60,19 @@ class RhoError(RuntimeError):
     pass
 
 
-def _gram_log_of_levels(aux_matrix, growth, per_level):
-    """log det M_i for every level, from bracket columns in chart
-    coordinates; a level that adds no direction contributes 0."""
-    Yinv = np.linalg.inv(aux_matrix)
-    logs = []
+def _gram_log_of_levels(aux, growth, per_level):
+    """log det M_i for every level at each point of a stack, from bracket
+    columns in chart coordinates: `aux` holds the (P, n, n) auxiliary
+    bases, `growth` the rank profile common to the points and `per_level`
+    the (P, n, k) columns of each level.  Returns a (P, levels) array; a
+    level that adds no direction contributes 0.
+
+    Each step is one LAPACK or matmul call for the whole stack.  A point
+    with a singular level Gram matrix raises, the first such point of the
+    stack at its first singular level."""
+    Yinv = np.linalg.inv(aux)
+    logs = np.zeros((len(aux), len(per_level)))
+    singular = np.zeros(len(aux), dtype=int)
     acc = []
     B_prev = None
     for i, C in enumerate(per_level):
@@ -65,36 +80,28 @@ def _gram_log_of_levels(aux_matrix, growth, per_level):
         acc.append(Caux)
         d_i = growth[i] - (growth[i - 1] if i else 0)
         if d_i == 0:
-            logs.append(0.0)
             continue
-        U = np.column_stack(acc)
-        u, _, _ = np.linalg.svd(U, full_matrices=False)
-        B = u[:, :growth[i]]
+        u, _, _ = np.linalg.svd(np.concatenate(acc, axis=2),
+                                full_matrices=False)
+        B = u[:, :, :growth[i]]
         if B_prev is None:
             V = B
         else:
-            P = B - B_prev @ (B_prev.T @ B)
+            P = B - B_prev @ (np.swapaxes(B_prev, 1, 2) @ B)
             u2, _, _ = np.linalg.svd(P, full_matrices=False)
-            V = u2[:, :d_i]
-        L = V.T @ Caux
-        sv = np.linalg.svd(L, compute_uv=False)[:d_i]
-        if np.any(sv <= 0.0):
-            raise RhoError("level %d Gram matrix is singular" % (i + 1))
-        logs.append(2.0 * float(np.sum(np.log(sv))))
+            V = u2[:, :, :d_i]
+        L = np.swapaxes(V, 1, 2) @ Caux
+        sv = np.linalg.svd(L, compute_uv=False)[:, :d_i]
+        bad = np.any(sv <= 0.0, axis=1)
+        singular[bad & (singular == 0)] = i + 1
+        logs[:, i] = 2.0 * np.sum(np.log(np.where(bad[:, None], 1.0, sv)),
+                                  axis=1)
         B_prev = B
+    failed = np.flatnonzero(singular)
+    if failed.size:
+        raise RhoError("level %d Gram matrix is singular"
+                       % singular[failed[0]])
     return logs
-
-
-def _point_gram(sys, x, p, complement, expected):
-    """g = 1/2 sum_i log det M_i at one covector, with the growth vector
-    required to equal `expected`."""
-    aux = geo.aux_frame_at(sys, x, complement)
-    (ranks,), per_level = fl._growth_profile(sys, x, p, len(expected))
-    if tuple(ranks) != tuple(expected):
-        raise RhoError(
-            "growth vector changed along the flow: %r versus %r"
-            % (tuple(ranks), tuple(expected)))
-    return 0.5 * sum(_gram_log_of_levels(aux.matrix, ranks, per_level))
 
 
 def _require_ample(flag):
@@ -108,18 +115,46 @@ def gram_from(geodesic, flag, times, complement=None):
 
     The auxiliary completion is chosen once at the base point (or given)
     and kept along the trajectory, and the growth vector must stay that
-    of the base covector."""
+    of the base covector.  Each point must pass its checks (completion,
+    rank profile, Gram determinants) and the first failing point in the
+    order visited raises; the rank profiles and Gram determinants of all
+    points are computed as stacks."""
     _require_ample(flag)
     sys = geodesic.sys
     comp = geo.aux_frame_at(sys, geodesic.x0, complement).complement
-    values = {}
-    for t in {float(t) for t in times}:
-        s = geodesic.sample(t)
+    expected = tuple(flag.raw_ranks)
+    distinct = list({float(t) for t in times})
+    samples = [geodesic.sample(t) for t in distinct]
+    failure = None
+    aux = []
+    for t, s in zip(distinct, samples):
         try:
-            values[t] = _point_gram(sys, s.x, s.p, comp, flag.raw_ranks)
+            aux.append(geo.aux_frame_at(sys, s.x, comp).matrix)
         except geo.GeometryError as err:
-            raise RhoError(
+            failure = RhoError(
                 "auxiliary completion degenerated at t=%r: %s" % (t, err))
+            break
+    # A point after a failing one cannot change the error raised, so each
+    # check runs only on the points before the first failure so far.
+    columns = []
+    for result in fl._growth_profile(
+            sys, [(s.x, s.p) for s in samples[:len(aux)]], len(expected)):
+        if isinstance(result, fl.FlagError):
+            failure = result
+            break
+        (ranks,), per_level = result
+        if ranks != expected:
+            failure = RhoError(
+                "growth vector changed along the flow: %r versus %r"
+                % (ranks, expected))
+            break
+        columns.append(per_level)
+    logs = _gram_log_of_levels(
+        np.reshape(aux[:len(columns)], (-1, sys.dim, sys.dim)), expected,
+        [np.array(level) for level in zip(*columns)])
+    if failure is not None:
+        raise failure
+    values = dict(zip(distinct, (0.5 * sum(row) for row in logs.tolist())))
     return [values[float(t)] for t in times]
 
 
@@ -173,15 +208,15 @@ def rho(sys, x0, p0, complement=None, tol=ham.DEFAULT_TOL):
 
 def log_volume_ratios_from(geodesic, times):
     """log of the volume ratio at each time, read from the geodesic's
-    transition matrices."""
+    transition matrices, with one log-determinant call for all of them."""
     sys = geodesic.sys
     log_m0 = math.log(sys.density_at(geodesic.x0))
-    out = []
-    for t in times:
-        s, M = geodesic.point(t)
-        _, ld = ham.signed_log_det(ham.vertical_jacobian(M, sys.dim))
-        out.append(ld + math.log(sys.density_at(s.x)) - log_m0)
-    return np.array(out)
+    points = [geodesic.point(t) for t in times]
+    n = sys.dim
+    _, lds = ham.signed_log_det(np.array(
+        [ham.vertical_jacobian(M, n) for _, M in points]).reshape(-1, n, n))
+    return np.array([ld + math.log(sys.density_at(s.x)) - log_m0
+                     for ld, (s, _) in zip(lds, points)])
 
 
 def log_volume_ratios(sys, x0, p0, times, tol=ham.DEFAULT_TOL):

@@ -120,12 +120,17 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["analyze", "heisenberg3", "--covector", "0.6,0.8,nan"],
         ["analyze", "heisenberg3", "--covector", "0.6,0.8,1",
          "--base", "0,nan,0"],
+        ["analyze", "euclidean:2", "--covector", "1,,0"],
+        ["analyze", "heisenberg3", "--covector", "0.6,0.8,1",
+         "--base", "0,,0"],
         flat + ["--samples", "-3"],
         flat + ["--samples", "0"],
         flat + ["--samples", "2"],
         flat + ["--tol", "0"],
         flat + ["--tol", "-1"],
         flat + ["--tol", "nan"],
+        flat + ["--rho-gap-tol", "nan"],
+        flat + ["--constant-tol", "-1"],
         ["sweep", "euclidean:2", str(batch), "--samples", "3"],
         ["sweep", "euclidean:2", str(batch), "--tol", "inf"],
         ["expansion", "euclidean:2", "--covector", "1,0", "--window",
@@ -333,8 +338,9 @@ def test_one_base_flag_per_covector(monkeypatch, tmp_path, capsys):
                                  np.array([0.8, 0.6, 0.5, -0.4]))
     assert code == 0
     assert len(flags) == 1
-    # 1 for the base flag, 4 along the flow and 29 Gram evaluations
-    assert len(profiles) <= 34
+    # 1 for the base flag, 1 for the 4 points along the flow, and 1 for
+    # each of the two Gram stacks (rho and the fit)
+    assert len(profiles) <= 4
 
     del flags[:]
     batch = tmp_path / "covs.txt"
@@ -342,6 +348,19 @@ def test_one_base_flag_per_covector(monkeypatch, tmp_path, capsys):
     assert run(["sweep", "engel", str(batch)]) == 0
     assert capsys.readouterr().out.strip().splitlines()[1].endswith("ok")
     assert len(flags) == 1
+
+
+def test_analyze_lapack_budget(monkeypatch):
+    # Each stage stacks its per-point linear algebra: one call per level,
+    # not one per point, which made 334 SVDs and 73 log-determinants here.
+    svds = _counting(monkeypatch, np.linalg, "svd")
+    slogdets = _counting(monkeypatch, np.linalg, "slogdet")
+    system = catalog.builtin("engel")
+    _, code = cli.analyze_report(system, np.zeros(4),
+                                 np.array([0.8, 0.6, 0.5, -0.4]))
+    assert code == 0
+    assert len(svds) <= 40
+    assert len(slogdets) <= 3
 
 
 def test_analyze_checks_the_flag_before_integrating(monkeypatch):

@@ -49,6 +49,35 @@ def test_heisenberg_flag_straight_line():
     assert f.ample
 
 
+def test_growth_profile_stacks_ragged_levels(monkeypatch):
+    # Along the straight line one level-1 bracket vanishes and is dropped,
+    # so the level-1 stacks of the two points have 3 and 4 columns: one
+    # SVD at level 0 and one per column count at level 1.
+    sys = catalog.builtin("heisenberg3")
+    points = [(np.zeros(3), np.array([1.0, 0.0, 0.0])),
+              (np.zeros(3), np.array([1.0, 0.0, 1.0]))]
+    factors = (1.0, 0.1, 10.0)
+    singles = [fl._growth_profile(sys, [point], 5, factors)[0]
+               for point in points]
+    svds = []
+    inner = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        svds.append(args[0].shape)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    stacked = fl._growth_profile(sys, points, 5, factors)
+    assert sorted(svds) == [(1, 3, 3), (1, 3, 4), (2, 3, 2)]
+    for (profiles, columns), (one_profiles, one_columns) in zip(stacked,
+                                                                singles):
+        assert profiles == one_profiles
+        assert len(columns) == len(one_columns) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(columns, one_columns))
+    assert [sum(np.count_nonzero(np.any(C != 0.0, axis=0)) for C in columns)
+            for _, columns in stacked] == [3, 4]
+
+
 def test_engel_flag_generic():
     sys = catalog.builtin("engel")
     for _ in range(4):

@@ -154,6 +154,17 @@ def test_signed_log_det():
     sign, logdet = ham.signed_log_det(np.diag([2.0, -3.0]))
     assert sign == -1.0
     assert logdet == pytest.approx(math.log(6.0), rel=1e-12)
+    # A stack: each entry is the one-matrix value, bit for bit, including
+    # a zero row and a singular matrix without one.
+    graded = np.array([[1e-9, 2e-7], [-3e-4, 5.0]])
+    stack = np.array([graded, np.diag([2.0, -3.0]), [[1.0, 2.0], [0.0, 0.0]],
+                      [[1.0, 2.0], [2.0, 4.0]]])
+    signs, logdets = ham.signed_log_det(stack)
+    assert signs.shape == logdets.shape == (4,)
+    for A, sign, logdet in zip(stack, signs, logdets):
+        assert (sign, logdet) == ham.signed_log_det(A)
+    assert (signs[2], logdets[2]) == (0.0, -math.inf)
+    assert (signs[3], logdets[3]) == (0.0, -math.inf)
 
 
 def test_blowup_raises():

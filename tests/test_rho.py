@@ -134,12 +134,38 @@ def test_gram_dets_positive_and_unimodular():
     sys = catalog.builtin("heisenberg3")
     flag = fl.flag_at(sys, np.zeros(3), np.array([1.0, 0.0, 1.0]))
     aux = geo.aux_frame_at(sys, np.zeros(3))
-    dets = [math.exp(v) for v in rh._gram_log_of_levels(
-        aux.matrix, flag.raw_ranks, flag.bracket_columns)]
+    # a stack of one point
+    (logs,) = rh._gram_log_of_levels(
+        aux.matrix[None], flag.raw_ranks,
+        [C[None] for C in flag.bracket_columns])
+    dets = [math.exp(v) for v in logs]
     assert len(dets) == 2
     assert all(d > 0 for d in dets)
     # k < n normalization: the first Gram determinant is exactly 1
     assert dets[0] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_gram_singular_level_raises_first_point():
+    # A level whose columns project to zero has a singular Gram matrix.
+    # In a stack the first such point raises, at its own first singular
+    # level, as a point-by-point pass would.
+    e = np.eye(3)
+    good = [e[:, :2], e[:, 2:] @ np.ones((1, 2))]
+    late = [e[:, :2], np.zeros((3, 2))]
+    early = [np.zeros((3, 2)), e[:, 1:]]
+
+    def gram(*points):
+        return rh._gram_log_of_levels(
+            np.array([e] * len(points)), (2, 3),
+            [np.array(level) for level in zip(*points)])
+
+    logs = gram(good)
+    assert logs.shape == (1, 2)
+    assert logs[0, 1] == pytest.approx(math.log(2.0), rel=1e-12)
+    with pytest.raises(rh.RhoError, match="level 2 Gram matrix"):
+        gram(good, late, early)
+    with pytest.raises(rh.RhoError, match="level 1 Gram matrix"):
+        gram(good, early, late)
 
 
 def test_scaling_checks_weighted():
