@@ -26,7 +26,7 @@ def main():
         print("  %.2f  %12.9f  %12.9f" % (t, np.exp(lr), t * np.sin(t)))
 
     fit = asym.fit_expansion(sys, x0, p0)
-    oracle = asym.ricci_oracle("sphere2", sys, x0, p0)
+    oracle = asym.ricci_oracle(sys, x0, p0)
     print("  fitted trace : %.6f" % fit.trace_r)
     print("  exact Ricci  : %.6f" % oracle)
     print("  fitted C     : %.8f (expect 1)" % fit.constant)
@@ -35,7 +35,7 @@ def main():
     ffit = asym.fit_expansion(sys, x0, fast, window=(5e-3, 1e-1))
     print("\ndouble-speed geodesic: trace scales with squared speed")
     print("  fitted trace : %.5f   oracle : %.5f"
-          % (ffit.trace_r, asym.ricci_oracle("sphere2", sys, x0, fast)))
+          % (ffit.trace_r, asym.ricci_oracle(sys, x0, fast)))
 
 
 if __name__ == "__main__":

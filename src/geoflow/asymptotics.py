@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import catalog
+from . import expr as ex
 from . import flag as fl
 from . import hamiltonian as ham
 from . import rho as rh
@@ -52,6 +54,7 @@ FIT_RESIDUAL_TOL = 1e-3
 # PROBE_WINDOW.
 PROBE_WINDOW = (1e-3, 1e-2)
 PROBE_SAMPLES = 9
+PROBE_GRID = np.geomspace(*PROBE_WINDOW, PROBE_SAMPLES)
 
 
 class AsymptoticsError(RuntimeError):
@@ -168,40 +171,60 @@ def fit_expansion(sys, x0, p0, window=(1e-2, 2e-1), samples=24,
 
 def exponent_probe_times():
     """The trajectory times exponent_probe_from reads."""
-    return list(np.geomspace(*PROBE_WINDOW, PROBE_SAMPLES))
+    return list(PROBE_GRID)
 
 
 def exponent_probe_from(geodesic):
     """Log-log slope of the volume ratio over a decade of small times; an
     estimate of the exponent N that never consults the flag."""
-    ts = np.geomspace(*PROBE_WINDOW, PROBE_SAMPLES)
-    log_r = rh.log_volume_ratios_from(geodesic, ts)
-    A = np.column_stack([np.ones(PROBE_SAMPLES), np.log(ts)])
+    log_r = rh.log_volume_ratios_from(geodesic, PROBE_GRID)
+    A = np.column_stack([np.ones(PROBE_SAMPLES), np.log(PROBE_GRID)])
     coef, *_ = np.linalg.lstsq(A, log_r, rcond=None)
     return float(coef[1])
 
 
-def exponent_probe(sys, x0, p0, tol=ham.DEFAULT_TOL):
+def exponent_probe(sys, x0, p0):
     """exponent_probe_from on a geodesic integrated for its times alone."""
-    geodesic = ham.Geodesic(sys, x0, p0, exponent_probe_times(), tol)
+    geodesic = ham.Geodesic(sys, x0, p0, exponent_probe_times())
     return exponent_probe_from(geodesic)
 
 
-def ricci_oracle(name, sys=None, x0=None, p0=None):
-    """Closed-form curvature trace for builtins that have one.
+def ricci_oracle(sys, x0, p0):
+    """Closed-form curvature trace at the covector (x0, p0), for the
+    structures that have one; None for every other structure.
 
-    Flat space reports 0 for any weight (the weighted part is absorbed
-    exactly by the rho factor); the round sphere reports the squared
-    speed of the geodesic.  Everything else returns None."""
-    root = str(name).split(":", 1)[0].strip().lower()
-    if root == "euclidean":
+    Flat space (no drift, no potential, the coordinate frame) reports 0
+    for any density, the weighted part being absorbed exactly by the rho
+    factor.  The round sphere (the drift, frame, potential and density of
+    the sphere2 builtin) reports the squared speed of the geodesic.  The
+    structure is recognised from its expressions, whatever its name, once
+    per structure."""
+    kind = sys.cached("ricci_oracle", lambda: _oracle_kind(sys))
+    if kind == "flat":
         return 0.0
-    if root == "sphere2":
-        if sys is None or x0 is None or p0 is None:
-            return 1.0
+    if kind == "sphere2":
         return 2.0 * ham.energy_at(sys, np.asarray(x0, dtype=float),
                                    np.asarray(p0, dtype=float))
     return None
+
+
+def _oracle_kind(sys):
+    """Which oracle the structure has: "flat" when all but the density
+    equal the euclidean builtin of the same dimension, "sphere2" when
+    everything equals that builtin, and "" for none."""
+
+    def parts(s):
+        comps = [c for f in (s.X0,) + s.frame for c in f.components]
+        return ((s.dim, s.rank)
+                + tuple(ex.simplify(e) for e in comps + [s.Q]))
+
+    if parts(sys) == parts(catalog.builtin("euclidean:%d" % sys.dim)):
+        return "flat"
+    sphere = catalog.builtin("sphere2")
+    if (parts(sys) + (ex.simplify(sys.density),)
+            == parts(sphere) + (ex.simplify(sphere.density),)):
+        return "sphere2"
+    return ""
 
 
 def fit_report(fit):

@@ -156,16 +156,13 @@ def default_base(sys):
     return np.zeros(sys.dim)
 
 
-def _unit(rng, n, floor=0.0, tries=256):
-    for _ in range(tries):
+def _unit(rng, n):
+    for _ in range(256):
         v = rng.standard_normal(n)
         norm = float(np.linalg.norm(v))
-        if norm < 1e-8:
-            continue
-        v = v / norm
-        if floor <= 0.0 or np.min(np.abs(v)) >= floor:
-            return v
-    raise GeometryError("covector sampler failed to satisfy its floor")
+        if norm >= 1e-8:
+            return v / norm
+    raise GeometryError("covector sampler drew no nonzero vector")
 
 
 def _signed_uniform(rng, lo, hi):

@@ -67,16 +67,29 @@ def _window_arg(text):
     return window
 
 
-def _samples_arg(text):
+def _int_arg(text):
     try:
-        samples = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+
+
+def _samples_arg(text):
+    samples = _int_arg(text)
     if samples < 4:
         raise argparse.ArgumentTypeError(
             "the fit needs at least 4 samples for its 3 unknowns, got %d"
             % samples)
     return samples
+
+
+def _nmax_arg(text):
+    nmax = _int_arg(text)
+    if nmax < 2:
+        raise argparse.ArgumentTypeError(
+            "the alternating sums start at n = 2, so --nmax must be at"
+            " least 2, got %d" % nmax)
+    return nmax
 
 
 def _tol_arg(text):
@@ -136,6 +149,15 @@ def _resolve_base(args, system):
                                                        system.dim))
         return args.base
     return catalog.default_base(system)
+
+
+def _resolve_covector(args, system):
+    if args.covector is None:
+        raise geo.GeometryError("%s needs --covector" % args.command)
+    if args.covector.size != system.dim:
+        raise geo.GeometryError("covector has %d components, the chart"
+                                " has %d" % (args.covector.size, system.dim))
+    return args.covector
 
 
 def _out_stream(args):
@@ -217,7 +239,7 @@ def analyze_report(system, x0, p0, window=(1e-2, 2e-1), samples=24,
         rel_gap = abs(fitted.constant - c_exact) / c_exact
         report["fit"]["constant_rel_gap"] = rel_gap
         checks["leading_constant"] = rel_gap <= constant_tol
-        oracle = asym.ricci_oracle(system.name, system, x0, p0)
+        oracle = asym.ricci_oracle(system, x0, p0)
         if oracle is not None:
             gap = abs(fitted.trace_r - oracle)
             report["ricci_oracle"] = {"value": oracle,
@@ -237,13 +259,9 @@ def analyze_report(system, x0, p0, window=(1e-2, 2e-1), samples=24,
 def cmd_analyze(args):
     system = _resolve_system(args)
     x0 = _resolve_base(args, system)
-    if args.covector is None:
-        raise geo.GeometryError("analyze needs --covector")
-    if args.covector.size != system.dim:
-        raise geo.GeometryError("covector has %d components, the chart"
-                                " has %d" % (args.covector.size, system.dim))
+    p0 = _resolve_covector(args, system)
     report, code = analyze_report(
-        system, x0, args.covector, window=args.window,
+        system, x0, p0, window=args.window,
         samples=args.samples, tol=args.tol, constant_tol=args.constant_tol,
         rho_gap_tol=args.rho_gap_tol, ricci_tol=args.ricci_tol,
         fit=not args.no_fit)
@@ -309,9 +327,8 @@ def cmd_sweep(args):
 def cmd_expansion(args):
     system = _resolve_system(args)
     x0 = _resolve_base(args, system)
-    if args.covector is None:
-        raise geo.GeometryError("expansion needs --covector")
-    fitted = asym.fit_expansion(system, x0, args.covector,
+    p0 = _resolve_covector(args, system)
+    fitted = asym.fit_expansion(system, x0, p0,
                                 window=args.window, samples=args.samples,
                                 tol=args.tol)
     stream = _out_stream(args)
@@ -458,7 +475,7 @@ def _build_parser():
 
     p_vi = sub.add_parser("verify-identities",
                           help="exact rational identity battery")
-    p_vi.add_argument("--nmax", type=int, default=12,
+    p_vi.add_argument("--nmax", type=_nmax_arg, default=12,
                       help="upper bound for the identity ranges")
     p_vi.add_argument("--out", help="write output to this path")
     p_vi.set_defaults(func=cmd_verify_identities)

@@ -199,9 +199,9 @@ ZERO = Const(0.0)
 ONE = Const(1.0)
 
 
-def variables(n, prefix="x"):
-    """Names x1..xn (or another prefix) for an n-dimensional chart."""
-    return ["%s%d" % (prefix, i + 1) for i in range(n)]
+def variables(n):
+    """Names x1..xn for an n-dimensional chart."""
+    return ["x%d" % (i + 1) for i in range(n)]
 
 
 # ----------------------------------------------------------------------
@@ -657,7 +657,7 @@ def _atom_source(e):
     return None
 
 
-def compile_exprs(exprs, name="geoflow_compiled"):
+def compile_exprs(exprs):
     """Compile expressions into one positional evaluator.
 
     Returns f(values) -> tuple of floats, one per input expression.
@@ -697,15 +697,14 @@ def compile_exprs(exprs, name="geoflow_compiled"):
         return local
 
     results = [emit(e) for e in exprs]
-    source = "def %s(v):\n%s\n    return (%s%s)\n" % (
-        name,
+    source = "def geoflow_compiled(v):\n%s\n    return (%s%s)\n" % (
         "\n".join(lines) if lines else "    pass",
         ", ".join(results),
         "," if len(results) == 1 else "",
     )
     namespace = {"_%s" % fn: _FUNC_EVAL[fn] for fn in _FUNC_EVAL}
     exec(compile(source, "<geoflow-expr>", "exec"), namespace)
-    return namespace[name]
+    return namespace["geoflow_compiled"]
 
 
 # ----------------------------------------------------------------------
@@ -715,14 +714,8 @@ def compile_exprs(exprs, name="geoflow_compiled"):
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = range(5)
 
 
-def to_text(e, names=None):
-    """Render an expression; `names` maps variable indices to names
-    (defaults to x<i+1>)."""
-
-    def name_of(i):
-        if names is None:
-            return "x%d" % (i + 1)
-        return names[i]
+def to_text(e):
+    """Render an expression over the chart variables x1, x2, ..."""
 
     def render(node, ctx):
         if isinstance(node, Const):
@@ -732,7 +725,7 @@ def to_text(e, names=None):
                 return "(%s)" % text
             return text
         if isinstance(node, Var):
-            return name_of(node.index)
+            return "x%d" % (node.index + 1)
         if isinstance(node, Add):
             text = " + ".join(render(t, _PREC_ADD + 1) for t in node.terms)
             text = text.replace("+ -", "- ")

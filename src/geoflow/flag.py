@@ -154,12 +154,13 @@ def _extension_fn(sys, j):
 
 
 def _extension_params(sys, x, p, order):
-    v = velocity_at(sys, x, p)
+    # Column 0 of the jet holds the controls velocity_at would evaluate.
+    jets = poisson_taylor(sys, x, p, order)
+    v = sys.drift_at(x) + sys.frame_matrix(x) @ jets[:, 0]
     norm2 = float(np.dot(v, v))
     if norm2 < 1e-24:
         raise FlagError("the trajectory is stationary at this covector")
     alpha = v / norm2
-    jets = poisson_taylor(sys, x, p, order)
     return list(alpha) + list(np.asarray(x, dtype=float)) + list(jets.ravel())
 
 

@@ -30,7 +30,6 @@ class VectorField:
     """A vector field on the chart: one expression per coordinate."""
 
     components: tuple
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -53,13 +52,6 @@ class VectorField:
     @classmethod
     def coordinate(cls, n, i):
         return cls(tuple(ex.ONE if j == i else ex.ZERO for j in range(n)))
-
-    def __call__(self, x):
-        fn = self._cache.get("fn")
-        if fn is None:
-            fn = ex.compile_exprs(self.components)
-            self._cache["fn"] = fn
-        return np.array(fn(list(x)), dtype=float)
 
     def __repr__(self):
         return "VectorField(%s)" % ", ".join(str(c) for c in self.components)
@@ -220,14 +212,14 @@ def aux_frame_at(sys, x, complement=None):
     return AuxFrame(matrix=Y, complement=complement)
 
 
-def divergence(f, density=None, nchart=None):
+def divergence(f, density=None):
     """Divergence of a vector field, optionally against a density:
     sum_i d_i f^i + (sum_i f^i d_i m)/m.
 
     The density's sign cancels in the logarithmic derivative, so an
     orientation-dependent determinant may be passed directly.
     """
-    n = f.dim if nchart is None else nchart
+    n = f.dim
     terms = [ex.diff(f.components[i], i) for i in range(n)]
     if density is not None:
         grad = [ex.diff(density, i) for i in range(n)]

@@ -492,12 +492,12 @@ def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL):
     return [found[t] for t in times]
 
 
-def transition(sys, x0, p0, t, tol=DEFAULT_TOL):
-    return transition_many(sys, x0, p0, [t], tol)[0]
+def transition(sys, x0, p0, t):
+    return transition_many(sys, x0, p0, [t])[0]
 
 
-def flow(sys, x0, p0, t, tol=DEFAULT_TOL):
-    return transition(sys, x0, p0, t, tol)[0]
+def flow(sys, x0, p0, t):
+    return transition(sys, x0, p0, t)[0]
 
 
 class Geodesic:

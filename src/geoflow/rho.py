@@ -54,6 +54,11 @@ FD_STEP = 1e-3
 # geometric grid over RHO_FLOW_WINDOW, and their mirror images.
 RHO_FLOW_WINDOW = (3e-2, 1.5e-1)
 RHO_FLOW_SAMPLES = 20
+RHO_FLOW_GRID = np.geomspace(*RHO_FLOW_WINDOW, RHO_FLOW_SAMPLES)
+
+# Times t at which scaling_checks compares G_{c lambda}(t) with
+# G_lambda(c t).
+SCALING_TIMES = (0.05, 0.1, 0.2)
 
 
 class RhoError(RuntimeError):
@@ -158,14 +163,14 @@ def gram_from(geodesic, flag, times, complement=None):
     return [values[float(t)] for t in times]
 
 
-def g_rel(sys, x0, p0, t, complement=None, tol=ham.DEFAULT_TOL):
+def g_rel(sys, x0, p0, t):
     """G(t) - G(0): the running integral of rho along the trajectory."""
     flag = fl.flag_at(sys, x0, p0)
     _require_ample(flag)
     scalar = np.isscalar(t)
     ts = [float(t)] if scalar else [float(v) for v in t]
-    geodesic = ham.Geodesic(sys, x0, p0, ts, tol)
-    vals = gram_from(geodesic, flag, ts + [0.0], complement)
+    geodesic = ham.Geodesic(sys, x0, p0, ts)
+    vals = gram_from(geodesic, flag, ts + [0.0])
     base = vals[-1]
     out = [v - base for v in vals[:-1]]
     return out[0] if scalar else np.array(out)
@@ -197,12 +202,12 @@ def rho_from(geodesic, flag, times, complement=None):
     return np.array(out)
 
 
-def rho(sys, x0, p0, complement=None, tol=ham.DEFAULT_TOL):
+def rho(sys, x0, p0, complement=None):
     """The invariant rho at one covector: dG/dtau at 0, by Richardson
     extrapolated central differences along the flow."""
     flag = fl.flag_at(sys, x0, p0)
     _require_ample(flag)
-    geodesic = ham.Geodesic(sys, x0, p0, rho_times([0.0]), tol)
+    geodesic = ham.Geodesic(sys, x0, p0, rho_times([0.0]))
     return rho_from(geodesic, flag, [0.0], complement)[0]
 
 
@@ -219,18 +224,16 @@ def log_volume_ratios_from(geodesic, times):
                      for ld, (s, _) in zip(lds, points)])
 
 
-def log_volume_ratios(sys, x0, p0, times, tol=ham.DEFAULT_TOL):
+def log_volume_ratios(sys, x0, p0, times):
     """log of the volume ratio at each time, one chained variational
     integration per sign of time."""
-    return log_volume_ratios_from(ham.Geodesic(sys, x0, p0, times, tol),
-                                  times)
+    return log_volume_ratios_from(ham.Geodesic(sys, x0, p0, times), times)
 
 
 def rho_flow_times():
     """The trajectory times rho_flow_from reads: a geometric grid on
     RHO_FLOW_WINDOW and its mirror image."""
-    ts = np.geomspace(*RHO_FLOW_WINDOW, RHO_FLOW_SAMPLES)
-    return list(ts) + list(-ts)
+    return list(RHO_FLOW_GRID) + list(-RHO_FLOW_GRID)
 
 
 def rho_flow_from(geodesic, dimension):
@@ -250,11 +253,10 @@ def rho_flow_from(geodesic, dimension):
     determinant, whose graded entries lose relative accuracy as t -> 0."""
     samples = RHO_FLOW_SAMPLES
     t_hi = RHO_FLOW_WINDOW[1]
-    ts = np.geomspace(*RHO_FLOW_WINDOW, samples)
     ys = log_volume_ratios_from(geodesic, rho_flow_times())
-    shift = dimension * np.log(ts)
+    shift = dimension * np.log(RHO_FLOW_GRID)
     odd = 0.5 * ((ys[:samples] - shift) - (ys[samples:] - shift))
-    tau = ts / t_hi
+    tau = RHO_FLOW_GRID / t_hi
     A = np.column_stack([tau ** j for j in (1, 3, 5, 7)])
     coef, *_ = np.linalg.lstsq(A, odd, rcond=None)
     resid = float(np.max(np.abs(A @ coef - odd)))
@@ -265,21 +267,20 @@ def rho_flow_from(geodesic, dimension):
     return float(coef[0] / t_hi)
 
 
-def rho_flow(sys, x0, p0, dimension=None, tol=ham.DEFAULT_TOL):
+def rho_flow(sys, x0, p0, dimension=None):
     """rho_flow_from on a geodesic integrated for its times alone; the
     dimension defaults to that of the flag at (x0, p0)."""
     if dimension is None:
         dimension = fl.flag_at(sys, x0, p0).dimension
-    geodesic = ham.Geodesic(sys, x0, p0, rho_flow_times(), tol)
+    geodesic = ham.Geodesic(sys, x0, p0, rho_flow_times())
     return rho_flow_from(geodesic, dimension)
 
 
-def scaling_checks(sys, x0, p0, factors, t_probe=(0.05, 0.1, 0.2),
-                   tol=ham.DEFAULT_TOL):
+def scaling_checks(sys, x0, p0, factors):
     """Homogeneity of rho and of the running integral under covector
     scaling, valid when the structure has no drift and no potential:
     rho(c lambda) = c rho(lambda) and G_{c lambda}(t) = G_lambda(c t) up
-    to the additive normalization.
+    to the additive normalization, at each t of SCALING_TIMES.
 
     Returns a dict of worst relative and absolute discrepancies."""
     x0 = np.asarray(x0, dtype=float)
@@ -297,11 +298,11 @@ def scaling_checks(sys, x0, p0, factors, t_probe=(0.05, 0.1, 0.2),
         # G(t) - G(0) at each of ts.
         flag = fl.flag_at(sys, x0, p)
         _require_ample(flag)
-        geodesic = ham.Geodesic(sys, x0, p, rho_times([0.0]) + ts, tol)
+        geodesic = ham.Geodesic(sys, x0, p, rho_times([0.0]) + ts)
         g0, *g = gram_from(geodesic, flag, [0.0] + ts)
         return rho_from(geodesic, flag, [0.0])[0], np.array(g) - g0
 
-    t_probe = list(t_probe)
+    t_probe = list(SCALING_TIMES)
     base_rho, g_base = rho_and_g(
         p0, [c * t for c in factors for t in t_probe])
     worst_rho = 0.0
@@ -340,7 +341,7 @@ def riemannian_rho_field(sys):
     return field
 
 
-def riemannian_divergence_check(sys, x0, p0, tol=ham.DEFAULT_TOL):
+def riemannian_divergence_check(sys, x0, p0):
     """Full-rank cross-check: the difference between the divergence of an
     admissible extension against the declared density and against the
     metric volume of the orthonormal frame equals rho at the base point.
@@ -360,7 +361,7 @@ def riemannian_divergence_check(sys, x0, p0, tol=ham.DEFAULT_TOL):
     at = list(x0)
     d_mu = ex.evaluate(div_mu, at)
     d_vol = ex.evaluate(div_vol, at)
-    value = rho(sys, x0, p0, tol=tol)
+    value = rho(sys, x0, p0)
     return {
         "div_mu": d_mu,
         "div_vol": d_vol,

@@ -73,7 +73,7 @@ def test_sphere_fit_matches_curvature_oracle():
     p0 = np.array([0.0, 1.0])
     fit = asym.fit_expansion(sys, x0, p0, window=(1e-2, 2e-1))
     assert fit.constant == pytest.approx(1.0, abs=1e-4)
-    oracle = asym.ricci_oracle("sphere2", sys, x0, p0)
+    oracle = asym.ricci_oracle(sys, x0, p0)
     assert oracle == pytest.approx(1.0, abs=1e-12)
     assert fit.trace_r == pytest.approx(oracle, abs=1e-2)
 
@@ -142,16 +142,33 @@ def test_exponent_probe_agrees_with_flag_dimension():
 
 
 def test_ricci_oracle_table():
-    assert asym.ricci_oracle("euclidean") == 0.0
-    assert asym.ricci_oracle("euclidean:3:psi=x1") == 0.0
-    assert asym.ricci_oracle("sphere2") == 1.0
-    assert asym.ricci_oracle("heisenberg3") is None
-    assert asym.ricci_oracle("martinet") is None
+    def oracle(sys, p0):
+        return asym.ricci_oracle(sys, np.zeros(sys.dim), np.array(p0))
+
+    assert oracle(cat.builtin("euclidean:2"), [1.0, 0.0]) == 0.0
+    assert oracle(cat.builtin("euclidean:3:psi=x1"), [1.0, 0.0, 0.0]) == 0.0
+    assert oracle(cat.builtin("sphere2"), [2.0, 0.0]) == pytest.approx(1.0)
+    assert oracle(cat.builtin("heisenberg3"), [1.0, 0.0, 1.0]) is None
+    assert oracle(cat.martinet(), [1.0, 0.0, 1.0]) is None
     # scaled covector: the oracle is the squared speed, twice the energy
     sys = cat.builtin("sphere2")
     x0 = np.array([1.0, 0.0])
     p0 = np.array([0.0, 2.0])
-    assert asym.ricci_oracle("sphere2", sys, x0, p0) == pytest.approx(4.0)
+    assert asym.ricci_oracle(sys, x0, p0) == pytest.approx(4.0)
+    # the structure decides, not its name
+    flat = dict(WEIGHTED_E3, name="heisenberg3")
+    assert oracle(geo.structure_from_dict(flat), [1.0, 0.0, 0.0]) == 0.0
+    heis = {"name": "euclidean:3", "dim": 3, "rank": 2,
+            "X0": ["0", "0", "0"],
+            "frame": [["1", "0", "-x2/2"], ["0", "1", "x1/2"]],
+            "Q": "0", "density": "1"}
+    assert oracle(geo.structure_from_dict(heis), [1.0, 0.0, 1.0]) is None
+    for name, p0 in (("euclidean:2", [1.0, 0.0]), ("sphere2", [2.0, 0.0])):
+        potential = cat.with_overrides(cat.builtin(name), potential="x1^2")
+        assert oracle(potential, p0) is None, name
+    zero_drift = cat.with_overrides(cat.builtin("euclidean:2"),
+                                    drift=["0", "0"])
+    assert oracle(zero_drift, [1.0, 0.0]) == 0.0
 
 
 def test_strong_drift_breaks_the_fit():

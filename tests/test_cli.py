@@ -136,10 +136,49 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["expansion", "euclidean:2", "--covector", "1,0", "--window",
          "0.1,0.1"],
         ["expansion", "euclidean:2", "--covector", "1,0", "--tol", "-1e-9"],
+        ["expansion", "heisenberg3", "--covector", "1,0"],
+        ["expansion", "heisenberg3", "--covector", "1,0,0.5,3"],
+        ["verify-identities", "--nmax", "1"],
+        ["verify-identities", "--nmax", "0"],
+        ["verify-identities", "--nmax", "-3"],
     ]
     for argv in cases:
         assert run(argv) == 1, argv
         capsys.readouterr()
+
+
+HEISENBERG_NAMED_FLAT = {"name": "euclidean:3", "dim": 3, "rank": 2,
+                         "X0": ["0", "0", "0"],
+                         "frame": [["1", "0", "-x2/2"], ["0", "1", "x1/2"]],
+                         "Q": "0", "density": "1"}
+FLAT_NAMED_ODDLY = {"name": "mystery", "dim": 2, "rank": 2,
+                    "X0": ["0", "0"], "frame": [["1", "0"], ["0", "1"]],
+                    "Q": "0", "density": "exp(0.2*x1)"}
+
+
+@pytest.mark.parametrize("argv, oracle", [
+    (["euclidean:2", "--potential", "x1^2", "--covector", "1,0"], None),
+    (["sphere2", "--potential", "x1^2", "--covector", "2,0"], None),
+    ([HEISENBERG_NAMED_FLAT, "--covector", "1,0.2,0.8"], None),
+    (["euclidean:2", "--drift", "0,0", "--covector", "1,0"], 0.0),
+    ([FLAT_NAMED_ODDLY, "--covector", "0.6,0.8"], 0.0),
+    (["sphere2", "--covector", "0,2"], 1.0),
+    (["euclidean:3:psi=0.3*x1", "--covector", "1,0,0"], 0.0),
+])
+def test_ricci_oracle_binds_to_the_structure(argv, oracle, tmp_path,
+                                              capsys):
+    if isinstance(argv[0], dict):
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(argv[0]))
+        argv = ["--file", str(path)] + argv[1:]
+    rc = run(["analyze"] + argv)
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0, report["checks"]
+    if oracle is None:
+        assert "ricci_oracle" not in report
+    else:
+        assert report["ricci_oracle"]["value"] == pytest.approx(oracle)
+        assert report["checks"]["ricci_oracle"] is True
 
 
 def test_verify_identities_all_pass(capsys):

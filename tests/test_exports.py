@@ -1,6 +1,8 @@
-"""Every name a module lists in __all__ exists."""
+"""Every name a module lists in __all__ exists, and the package top
+level exposes its submodules only."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -15,3 +17,11 @@ def test_all_entries_resolve(name):
     missing = [entry for entry in module.__all__
                if not hasattr(module, entry)]
     assert missing == []
+
+
+def test_top_level_lists_only_submodules():
+    import geoflow
+    assert all(inspect.ismodule(getattr(geoflow, entry))
+               for entry in geoflow.__all__)
+    assert not [name for name, value in vars(geoflow).items()
+                if not name.startswith("_") and not inspect.ismodule(value)]

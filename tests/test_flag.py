@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from geoflow import catalog
+from geoflow import expr as ex
 from geoflow import flag as fl
 from geoflow import geometry as geo
 from geoflow import hamiltonian as ham
@@ -249,5 +250,5 @@ def test_extension_reproduces_velocity_along_curve():
     for t in (0.0, 0.02, 0.05):
         s = ham.flow(sys, x0, p0, t)
         want = fl.velocity_at(sys, s.x, s.p)
-        got = T(s.x)
+        got = ex.compile_exprs(T.components)(list(s.x))
         assert np.allclose(got, want, atol=1e-6)

@@ -183,6 +183,6 @@ def test_controls_at():
 def test_tolerance_tightening_converges():
     sys = catalog.builtin("engel")
     p0 = np.array([0.8, 0.6, 0.5, -0.4])
-    loose = ham.flow(sys, np.zeros(4), p0, 1.0, tol=1e-6)
-    tight = ham.flow(sys, np.zeros(4), p0, 1.0, tol=1e-12)
+    loose = ham.Geodesic(sys, np.zeros(4), p0, [1.0], tol=1e-6).sample(1.0)
+    tight = ham.Geodesic(sys, np.zeros(4), p0, [1.0], tol=1e-12).sample(1.0)
     assert np.allclose(loose.x, tight.x, atol=1e-4)
