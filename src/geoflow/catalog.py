@@ -213,13 +213,17 @@ def sample_covector(name, rng):
 
 def with_overrides(sys, drift=None, potential=None):
     """A copy of the system with a replacement drift and/or potential,
-    parsed over the same chart variables.  Always builds a fresh system
-    so cached phase-space data from the original cannot leak in."""
+    parsed over the same chart variables and named after both, e.g.
+    "sphere2 (potential=x1^2)".  Always builds a fresh system so cached
+    phase-space data from the original cannot leak in."""
     names = ex.variables(sys.dim)
     X0 = (VectorField.from_strings(drift, names) if drift is not None
           else VectorField(tuple(sys.X0.components)))
     Q = ex.parse(potential, names) if potential is not None else sys.Q
+    changes = ([] if drift is None else ["drift=" + ",".join(drift)]) + (
+        [] if potential is None else ["potential=" + potential])
+    name = "%s (%s)" % (sys.name, "; ".join(changes)) if changes else sys.name
     return ControlSystem(dim=sys.dim, rank=sys.rank, X0=X0,
                          frame=tuple(VectorField(tuple(f.components))
                                      for f in sys.frame),
-                         Q=Q, density=sys.density, name=sys.name)
+                         Q=Q, density=sys.density, name=name)

@@ -16,9 +16,11 @@ transverse affine time function, the extension is
 
 where uhat_i is the Taylor polynomial of the control u_i(t) at t = 0.  The
 control derivatives are iterated Poisson brackets with the Hamiltonian, so
-every coefficient is an explicit function of the covector; the symbolic
-bracket columns are assembled once per structure and reused for every
-base point by binding the parameters numerically.
+every coefficient is an explicit function of the covector.  The brackets
+are taken in graded form, as polynomials in a formal s whose coefficients
+are fields over (x, alpha, c), c the control jet; only the s^0 coefficient
+survives at the base point.  They are assembled once per structure and
+reused for every covector by binding (x, alpha, c) numerically.
 """
 
 from __future__ import annotations
@@ -95,94 +97,108 @@ def velocity_at(sys, x, p):
 
 
 # ----------------------------------------------------------------------
-# The parametric extension and its bracket columns.
+# The graded extension and its bracket columns.
 #
-# Symbolic variable layout (nv = 3n + k*(order+1) variables):
-#   [0, n)                     chart coordinates
-#   [n, 2n)                    alpha, the time-function gradient
-#   [2n, 3n)                   x0, the base point of s
-#   3n + i*(order+1) + r       c[i][r], the control jet coefficients
+# Variables: x in [0, n), alpha in [n, 2n), and the control jet c[i][r] at
+# 2n + r*k + i.  With S a formal time function (dS = alpha.dx, S = 0 at
+# the base point), T = sum_r S^r T_r, T_0 = X_0 + sum_i c_i0 X_i and
+# T_r = sum_i c_ir/r! X_i.  Fields are held as S-coefficients, bracketed by
+#   [S^r A, S^m B] = S^(r+m) [A, B] + S^(r+m-1) (m (alpha.A) B - r (alpha.B) A).
+# Only S^0 is evaluated, at the base point.  A bracket lowers the degree by
+# at most one, so level l of (ad T)^j X_a needs the degrees <= j - l only.
 
 
-def _extension_field(sys, order):
-    return sys.cached(("ext_T", order),
-                      lambda: _build_extension_field(sys, order))
+def _extension_term(sys, r):
+    """T_r as a vector field over (x, alpha, c)."""
+    def build():
+        n, k = sys.dim, sys.rank
+        scale = ex.Const(1.0 / math.factorial(r))
+        return geo.VectorField(tuple(ex.simplify(ex.Add(tuple(
+            ([sys.X0.components[q]] if r == 0 else [])
+            + [ex.Mul((scale, ex.Var(2 * n + r * k + i),
+                       sys.frame[i].components[q])) for i in range(k)])))
+            for q in range(n)))
+
+    return sys.cached(("ext_T", r), build)
 
 
-def _build_extension_field(sys, order):
-    n, k = sys.dim, sys.rank
-    s = ex.Add(tuple(
-        ex.Mul((ex.Var(n + q), ex.Add((ex.Var(q), ex.Neg(ex.Var(2 * n + q))))))
-        for q in range(n)))
-    comps = []
-    for m in range(n):
-        terms = [sys.X0.components[m]]
-        for i in range(k):
-            poly = []
-            for r in range(order + 1):
-                c = ex.Var(3 * n + i * (order + 1) + r)
-                if r == 0:
-                    poly.append(c)
-                else:
-                    poly.append(ex.Mul((ex.Const(1.0 / math.factorial(r)),
-                                        c, ex.Pow(s, r))))
-            terms.append(ex.Mul((ex.Add(tuple(poly)),
-                                 sys.frame[i].components[m])))
-        comps.append(ex.simplify(ex.Add(tuple(terms))))
-    return geo.VectorField(tuple(comps))
+def _extension_coefficient(sys, level, degree):
+    """The S^degree coefficients of (ad T)^level X_a, one field per a."""
+    if level == 0:
+        return sys.frame if degree == 0 else ()
 
-
-def _extension_level_at_order(sys, j, order):
-    """Fields (ad T)^j X_a as expressions over chart + parameters, with T
-    built at the given jet order.  Order j is the minimal sufficient one;
-    a larger order builds a depth-j bracket inside a deeper computation."""
-    if j == 0:
-        return sys.frame
+    def along_alpha(scale, W):
+        return ex.simplify(ex.Mul((ex.Const(float(scale)), ex.Add(tuple(
+            ex.Mul((ex.Var(sys.dim + q), c))
+            for q, c in enumerate(W.components))))))
 
     def build():
-        T = _extension_field(sys, order)
-        return tuple(geo.lie_bracket(T, W, nchart=sys.dim)
-                     for W in _extension_level_at_order(sys, j - 1, order))
+        terms = [[[] for _ in range(sys.dim)] for _ in range(sys.rank)]
+        for m in range(degree + 2):
+            # (T_(r-1), W_m) give the bracket term of degree r - 1 + m, and
+            # (T_r, W_m) the terms where S is differentiated.
+            r = degree + 1 - m
+            T = _extension_term(sys, r)
+            aT = along_alpha(m, T)
+            for a, W in enumerate(_extension_coefficient(sys, level - 1, m)):
+                parts = [[ex.Mul((aT, c)) for c in W.components]] if m else []
+                if r:
+                    aW = along_alpha(-r, W)
+                    parts += [geo.lie_bracket(_extension_term(sys, r - 1),
+                                              W).components,
+                              [ex.Mul((aW, c)) for c in T.components]]
+                for part in parts:
+                    for q, c in enumerate(part):
+                        terms[a][q].append(c)
+        return tuple(geo.VectorField(tuple(ex.simplify(ex.Add(tuple(t)))
+                                           for t in comps))
+                     for comps in terms)
 
-    return sys.cached(("ext_level_o", j, order), build)
+    return sys.cached(("ext_coef", level, degree), build)
 
 
 def _extension_fn(sys, j):
+    """Evaluator of (ad T)^j X_a at the base point, over (x, alpha, c)."""
     return sys.cached(("ext_fn", j), lambda: ex.compile_exprs(
-        [c for W in _extension_level_at_order(sys, j, j)
-         for c in W.components]))
+        [c for W in _extension_coefficient(sys, j, 0) for c in W.components]))
 
 
-def _extension_params(sys, x, p, order):
-    # Column 0 of the jet holds the controls velocity_at would evaluate.
-    jets = poisson_taylor(sys, x, p, order)
-    v = sys.drift_at(x) + sys.frame_matrix(x) @ jets[:, 0]
+def _time_gradient(sys, x, p):
+    """alpha = v/|v|^2 for the velocity v at (x, p), so that the time
+    function S grows at unit rate along the trajectory."""
+    v = velocity_at(sys, x, p)
     norm2 = float(np.dot(v, v))
     if norm2 < 1e-24:
         raise FlagError("the trajectory is stationary at this covector")
-    alpha = v / norm2
-    return list(alpha) + list(np.asarray(x, dtype=float)) + list(jets.ravel())
+    return v / norm2
 
 
-def _bracket_columns(sys, x, p, j):
-    """(n, k) array whose columns are (ad T)^j X_a at x."""
+def _bracket_columns(sys, x, p, alpha, j):
+    """(n, k) array whose columns are (ad T)^j X_a at x, where alpha is
+    _time_gradient at (x, p)."""
     n, k = sys.dim, sys.rank
     if j == 0:
         return sys.frame_matrix(x)
-    fn = _extension_fn(sys, j)
-    args = list(np.asarray(x, dtype=float)) + _extension_params(sys, x, p, j)
-    vals = fn(args)
+    jets = poisson_taylor(sys, x, p, j)
+    vals = _extension_fn(sys, j)(list(x) + list(alpha) + list(jets.T.ravel()))
     return np.array(vals, dtype=float).reshape(k, n).T
 
 
 def admissible_extension(sys, x, p, order):
-    """The polynomial admissible extension around (x, p), as a plain
-    vector field over the chart (parameters bound to their values)."""
-    T = _extension_field(sys, order)
-    params = _extension_params(sys, x, p, order)
-    binding = {sys.dim + i: params[i] for i in range(len(params))}
-    comps = tuple(ex.simplify(ex.substitute(c, binding)) for c in T.components)
-    return geo.VectorField(comps)
+    """The polynomial admissible extension around (x, p) to the given jet
+    order, as a plain vector field over the chart: sum_r s^r T_r with
+    s(x) = <alpha, x - x0> and the jet coefficients bound to their
+    values."""
+    x = np.asarray(x, dtype=float)
+    alpha = _time_gradient(sys, x, p)
+    jets = poisson_taylor(sys, x, p, order).T.ravel()
+    binding = {2 * sys.dim + i: float(c) for i, c in enumerate(jets)}
+    s = ex.Add(tuple(ex.Mul((ex.Const(a), ex.Add((ex.Var(q), ex.Const(-xq)))))
+                     for q, (a, xq) in enumerate(zip(alpha, x))))
+    Ts = [_extension_term(sys, r) for r in range(order + 1)]
+    return geo.VectorField(tuple(ex.simplify(ex.Add(tuple(
+        ex.Mul((ex.Pow(s, r), ex.substitute(T.components[q], binding)))
+        for r, T in enumerate(Ts)))) for q in range(sys.dim)))
 
 
 # ----------------------------------------------------------------------
@@ -228,6 +244,7 @@ def _growth_profile(sys, points, max_step, factors=(1.0,)):
     profiles = [tuple([] for _ in factors) for _ in points]
     per_level = [[] for _ in points]
     rows = [np.empty((0, n)) for _ in points]
+    alphas = {}
     failed = {}
     for j in range(max_step):
         level = {}
@@ -235,7 +252,9 @@ def _growth_profile(sys, points, max_step, factors=(1.0,)):
             if i in failed or all(_closed(r, n) for r in profiles[i]):
                 continue
             try:
-                level[i] = _bracket_columns(sys, x, p, j)
+                if j == 1:
+                    alphas[i] = _time_gradient(sys, x, p)
+                level[i] = _bracket_columns(sys, x, p, alphas.get(i), j)
             except FlagError as err:
                 failed[i] = err
         if not level:

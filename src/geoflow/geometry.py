@@ -57,20 +57,19 @@ class VectorField:
         return "VectorField(%s)" % ", ".join(str(c) for c in self.components)
 
 
-def lie_bracket(v, w, nchart=None):
-    """Lie bracket [v, w], differentiating with respect to the first
-    `nchart` variables (all of them by default).
+def lie_bracket(v, w):
+    """Lie bracket [v, w], differentiating with respect to the chart
+    variables, one per component.
 
     Components may legitimately mention variables beyond the chart (frozen
     parameters); those are treated as constants.
     """
     if v.dim != w.dim:
         raise GeometryError("bracket of fields of different dimension")
-    n = v.dim if nchart is None else nchart
     comps = []
     for j in range(v.dim):
         terms = []
-        for i in range(n):
+        for i in range(v.dim):
             dw = ex.diff(w.components[j], i)
             if not (isinstance(dw, ex.Const) and dw.value == 0.0):
                 terms.append(ex.Mul((v.components[i], dw)))

@@ -181,6 +181,18 @@ def test_ricci_oracle_binds_to_the_structure(argv, oracle, tmp_path,
         assert report["checks"]["ricci_oracle"] is True
 
 
+def test_report_names_the_overrides(capsys):
+    run(["analyze", "sphere2", "--potential", "x1^2", "--covector", "2,0"])
+    assert json.loads(capsys.readouterr().out)["structure"] == (
+        "sphere2 (potential=x1^2)")
+    run(["analyze", "heisenberg3", "--drift", "x2,0,0", "--potential",
+         "x1^2", "--covector", "1,0,1", "--no-fit"])
+    assert json.loads(capsys.readouterr().out)["structure"] == (
+        "heisenberg3 (drift=x2,0,0; potential=x1^2)")
+    run(["analyze", "sphere2", "--covector", "2,0", "--no-fit"])
+    assert json.loads(capsys.readouterr().out)["structure"] == "sphere2"
+
+
 def test_verify_identities_all_pass(capsys):
     rc = run(["verify-identities", "--nmax", "6"])
     out = capsys.readouterr().out
