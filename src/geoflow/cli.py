@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys as _sys
@@ -107,23 +108,6 @@ def _rational_entry(value):
     frac = Fraction(value)
     return {"rational": "%d/%d" % (frac.numerator, frac.denominator),
             "float": float(frac)}
-
-
-def _jsonable(value):
-    """Strip numpy scalar and array types so json round-trips exactly."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
 
 
 def _resolve_system(args):
@@ -265,8 +249,7 @@ def cmd_analyze(args):
         samples=args.samples, tol=args.tol, constant_tol=args.constant_tol,
         rho_gap_tol=args.rho_gap_tol, ricci_tol=args.ricci_tol,
         fit=not args.no_fit)
-    _emit(args, json.dumps(_jsonable(report), sort_keys=True, indent=2)
-          + "\n")
+    _emit(args, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return code
 
 
@@ -441,7 +424,9 @@ def _add_common(parser, covector=True):
                                       " of stdout")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call of main and reused."""
     parser = _Parser(prog="geoflow",
                      description="volume expansion along optimal-control"
                                  " geodesics: flags, invariants, fits")

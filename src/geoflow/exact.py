@@ -17,7 +17,7 @@ from fractions import Fraction
 __all__ = [
     "RationalMatrix",
     "nhat", "ghat", "nhat_inverse_closed", "det_nhat", "det_formula",
-    "det_ratio_formula", "trace_identity",
+    "trace_identity",
     "comb_identity_A", "comb_identity_B", "lemma_b0",
     "hilbert_matrix", "hilbert_inverse_closed", "hilbert_row_sums_closed",
     "eta1_value",
@@ -47,10 +47,6 @@ class RationalMatrix:
 
     def __repr__(self):
         return "RationalMatrix(%r)" % (self.rows,)
-
-    def transpose(self):
-        m, n = self.shape
-        return RationalMatrix([[self.rows[i][j] for i in range(m)] for j in range(n)])
 
     def __matmul__(self, other):
         m, n = self.shape
@@ -182,12 +178,6 @@ def det_formula(n):
     for j in range(n, 2 * n):
         den *= math.factorial(j)
     return Fraction(num, den)
-
-
-def det_ratio_formula(n):
-    """Ratio det(n)/det(n-1) = ((n-1)!)^2 / ((2n-2)!(2n-1)!)."""
-    return Fraction(math.factorial(n - 1) ** 2,
-                    math.factorial(2 * n - 2) * math.factorial(2 * n - 1))
 
 
 def trace_identity(n):

@@ -17,7 +17,7 @@ import math
 import re
 
 __all__ = [
-    "Expr", "Const", "Var", "Add", "Mul", "Div", "Neg", "Pow", "Call",
+    "Expr", "Const", "Var", "Add", "Mul", "Div", "Pow", "Call",
     "ExprError", "ExprSyntaxError", "UnknownIdentifierError",
     "NonIntegerExponentError",
     "parse", "diff", "simplify", "evaluate", "substitute", "compile_exprs",
@@ -49,8 +49,9 @@ class NonIntegerExponentError(ExprError):
 
 # Structural keys mix a small node-kind code with child keys.  Only int and
 # float payloads are hashed, so keys are stable across interpreter runs
-# (string hashing would not be).
-_K_CONST, _K_VAR, _K_ADD, _K_MUL, _K_DIV, _K_NEG, _K_POW, _K_CALL = range(8)
+# (string hashing would not be).  simplify orders terms and factors by key,
+# so the codes are fixed values, not a running count.
+_K_CONST, _K_VAR, _K_ADD, _K_MUL, _K_DIV, _K_POW, _K_CALL = 0, 1, 2, 3, 4, 6, 7
 
 _FUNC_CODES = {"sin": 0, "cos": 1, "exp": 2, "log": 3, "sqrt": 4}
 _FUNC_EVAL = {
@@ -69,9 +70,6 @@ class Expr:
 
     def __hash__(self):
         return self.key
-
-    def __repr__(self):
-        return to_text(self)
 
 
 class Const(Expr):
@@ -145,19 +143,6 @@ class Div(Expr):
     __hash__ = Expr.__hash__
 
 
-class Neg(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "key", hash((_K_NEG, arg.key)))
-
-    def __eq__(self, other):
-        return isinstance(other, Neg) and other.key == self.key and other.arg == self.arg
-
-    __hash__ = Expr.__hash__
-
-
 class Pow(Expr):
     """Integer power.  The exponent is a plain int, never a subtree."""
 
@@ -197,6 +182,8 @@ class Call(Expr):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+# Negation is multiplication by MINUS_ONE, the form simplify keeps.
+MINUS_ONE = Const(-1.0)
 
 
 def variables(n):
@@ -288,7 +275,7 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             rhs = self.term()
-            e = Add((e, rhs)) if op.kind == "+" else Add((e, Neg(rhs)))
+            e = Add((e, rhs if op.kind == "+" else Mul((MINUS_ONE, rhs))))
         return e
 
     def term(self):
@@ -302,7 +289,7 @@ class _Parser:
     def unary(self):
         if self.peek().kind == "-":
             self.advance()
-            return Neg(self.unary())
+            return Mul((MINUS_ONE, self.unary()))
         if self.peek().kind == "+":
             self.advance()
             return self.unary()
@@ -390,8 +377,6 @@ def diff(e, var):
         return ONE if e.index == var else ZERO
     if isinstance(e, Add):
         return Add(tuple(diff(t, var) for t in e.terms))
-    if isinstance(e, Neg):
-        return Neg(diff(e.arg, var))
     if isinstance(e, Mul):
         terms = []
         factors = e.factors
@@ -406,7 +391,8 @@ def diff(e, var):
     if isinstance(e, Div):
         du = diff(e.num, var)
         dv = diff(e.den, var)
-        return Div(Add((Mul((du, e.den)), Neg(Mul((e.num, dv))))), Pow(e.den, 2))
+        return Div(Add((Mul((du, e.den)), Mul((MINUS_ONE, e.num, dv)))),
+                   Pow(e.den, 2))
     if isinstance(e, Pow):
         if e.exponent == 0:
             return ZERO
@@ -418,7 +404,7 @@ def diff(e, var):
         if e.fn == "sin":
             return Mul((Call("cos", e.arg), du))
         if e.fn == "cos":
-            return Neg(Mul((Call("sin", e.arg), du)))
+            return Mul((MINUS_ONE, Call("sin", e.arg), du))
         if e.fn == "exp":
             return Mul((e, du))
         if e.fn == "log":
@@ -452,9 +438,6 @@ def _simp(e, memo):
         out = _simp_add([_simp(t, memo) for t in e.terms])
     elif isinstance(e, Mul):
         out = _simp_mul([_simp(f, memo) for f in e.factors])
-    elif isinstance(e, Neg):
-        a = _simp(e.arg, memo)
-        out = Const(-a.value) if isinstance(a, Const) else _simp_mul([Const(-1.0), a])
     elif isinstance(e, Div):
         out = _simp_div(_simp(e.num, memo), _simp(e.den, memo))
     elif isinstance(e, Pow):
@@ -607,8 +590,6 @@ def evaluate(e, values):
         return out
     if isinstance(e, Div):
         return evaluate(e.num, values) / evaluate(e.den, values)
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, values)
     if isinstance(e, Pow):
         return evaluate(e.base, values) ** e.exponent
     if isinstance(e, Call):
@@ -635,8 +616,6 @@ def substitute(e, mapping):
             out = Mul(tuple(walk(f, memo) for f in node.factors))
         elif isinstance(node, Div):
             out = Div(walk(node.num, memo), walk(node.den, memo))
-        elif isinstance(node, Neg):
-            out = Neg(walk(node.arg, memo))
         elif isinstance(node, Pow):
             out = Pow(walk(node.base, memo), node.exponent)
         elif isinstance(node, Call):
@@ -682,8 +661,6 @@ def compile_exprs(exprs):
             body = "*".join(emit(f) for f in node.factors)
         elif isinstance(node, Div):
             body = "%s / %s" % (emit(node.num), emit(node.den))
-        elif isinstance(node, Neg):
-            body = "-%s" % emit(node.arg)
         elif isinstance(node, Pow):
             body = "%s**(%d)" % (emit(node.base), node.exponent)
         elif isinstance(node, Call):
@@ -705,44 +682,3 @@ def compile_exprs(exprs):
     namespace = {"_%s" % fn: _FUNC_EVAL[fn] for fn in _FUNC_EVAL}
     exec(compile(source, "<geoflow-expr>", "exec"), namespace)
     return namespace["geoflow_compiled"]
-
-
-# ----------------------------------------------------------------------
-# Printing (round-trippable through parse with the same variable order)
-
-
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = range(5)
-
-
-def to_text(e):
-    """Render an expression over the chart variables x1, x2, ..."""
-
-    def render(node, ctx):
-        if isinstance(node, Const):
-            v = node.value
-            text = repr(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
-            if v < 0 and ctx > _PREC_ADD:
-                return "(%s)" % text
-            return text
-        if isinstance(node, Var):
-            return "x%d" % (node.index + 1)
-        if isinstance(node, Add):
-            text = " + ".join(render(t, _PREC_ADD + 1) for t in node.terms)
-            text = text.replace("+ -", "- ")
-            return "(%s)" % text if ctx > _PREC_ADD else text
-        if isinstance(node, Mul):
-            text = "*".join(render(f, _PREC_MUL + 1) for f in node.factors)
-            return "(%s)" % text if ctx > _PREC_MUL else text
-        if isinstance(node, Div):
-            text = "%s / %s" % (render(node.num, _PREC_MUL + 1),
-                                render(node.den, _PREC_MUL + 1))
-            return "(%s)" % text if ctx > _PREC_MUL else text
-        if isinstance(node, Neg):
-            return "-%s" % render(node.arg, _PREC_UNARY)
-        if isinstance(node, Pow):
-            return "%s^%d" % (render(node.base, _PREC_ATOM), node.exponent)
-        if isinstance(node, Call):
-            return "%s(%s)" % (node.fn, render(node.arg, _PREC_ADD))
-        raise TypeError("cannot render %r" % (node,))
-
-    return render(e, _PREC_ADD)

@@ -54,18 +54,6 @@ class FlagError(ValueError):
     pass
 
 
-def poisson_bracket(f, g, n):
-    """{f, g} over phase variables (x1..xn, p1..pn), with the sign fixed
-    so that d/dt u = {H, u} along the Hamiltonian flow."""
-    terms = []
-    for m in range(n):
-        a = ex.Mul((ex.diff(f, n + m), ex.diff(g, m)))
-        b = ex.Mul((ex.diff(f, m), ex.diff(g, n + m)))
-        terms.append(a)
-        terms.append(ex.Neg(b))
-    return ex.simplify(ex.Add(tuple(terms)))
-
-
 def _poisson_exprs(sys, order):
     """Control derivative expressions U[i][r] = (d/dt)^r u_i as phase
     functions, r = 0..order."""
@@ -76,9 +64,15 @@ def _poisson_exprs(sys, order):
 def _build_poisson_exprs(sys, order):
     if order == 0:
         return tuple((u,) for u in ham._control_exprs(sys))
-    H = ham.hamiltonian(sys)
-    return tuple(row + (poisson_bracket(H, row[-1], sys.dim),)
-                 for row in _poisson_exprs(sys, order - 1))
+    # d/dt u = {H, u} is the derivative of u along the Hamiltonian field F.
+    # Its terms are added in the order of sum_m (dH/dp_m du/dx_m -
+    # dH/dx_m du/dp_m), which fixes the rounding of merged coefficients.
+    n = sys.dim
+    F = ham._hamiltonian_field(sys)
+    return tuple(row + (ex.simplify(ex.Add(tuple(
+        ex.Mul((F[z], ex.diff(row[-1], z)))
+        for m in range(n) for z in (m, n + m)))),)
+        for row in _poisson_exprs(sys, order - 1))
 
 
 def poisson_taylor(sys, x, p, order):

@@ -49,13 +49,6 @@ class VectorField:
     def zero(cls, n):
         return cls((ex.ZERO,) * n)
 
-    @classmethod
-    def coordinate(cls, n, i):
-        return cls(tuple(ex.ONE if j == i else ex.ZERO for j in range(n)))
-
-    def __repr__(self):
-        return "VectorField(%s)" % ", ".join(str(c) for c in self.components)
-
 
 def lie_bracket(v, w):
     """Lie bracket [v, w], differentiating with respect to the chart
@@ -75,7 +68,7 @@ def lie_bracket(v, w):
                 terms.append(ex.Mul((v.components[i], dw)))
             dv = ex.diff(v.components[j], i)
             if not (isinstance(dv, ex.Const) and dv.value == 0.0):
-                terms.append(ex.Neg(ex.Mul((w.components[i], dv))))
+                terms.append(ex.Mul((ex.MINUS_ONE, w.components[i], dv)))
         comps.append(ex.simplify(ex.Add(tuple(terms))) if terms else ex.ZERO)
     return VectorField(tuple(comps))
 
@@ -240,8 +233,9 @@ def frame_determinant(sys):
         total = []
         for j in range(len(rs)):
             minor = [r[:j] + r[j + 1:] for r in rs[1:]]
-            term = ex.Mul((rs[0][j], det(minor)))
-            total.append(term if j % 2 == 0 else ex.Neg(term))
+            factors = (rs[0][j], det(minor))
+            total.append(ex.Mul(factors if j % 2 == 0
+                                else (ex.MINUS_ONE,) + factors))
         return ex.Add(tuple(total))
 
     return ex.simplify(det(rows))
@@ -251,25 +245,61 @@ def frame_determinant(sys):
 # Structure files
 
 
+def _count(data, key):
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise GeometryError("structure field %r must be a positive integer,"
+                            " got %r" % (key, value))
+    return value
+
+
+def _texts(value, n, what):
+    if not (isinstance(value, (list, tuple)) and len(value) == n
+            and all(isinstance(t, str) for t in value)):
+        raise GeometryError("%s must be a list of %d expression strings,"
+                            " got %r" % (what, n, value))
+    return value
+
+
+def _text(data, key):
+    value = data[key]
+    if not isinstance(value, str):
+        raise GeometryError("structure field %r must be an expression"
+                            " string, got %r" % (key, value))
+    return value
+
+
 def structure_from_dict(data):
     """Build a ControlSystem from the JSON structure-file layout:
     {"dim", "rank", "X0", "frame", "Q", "density", "name"}."""
+    if not isinstance(data, dict):
+        raise GeometryError("a structure must be a JSON object, got %s"
+                            % type(data).__name__)
     try:
-        n = int(data["dim"])
-        k = int(data["rank"])
-        names = ex.variables(n)
-        X0 = VectorField.from_strings(data["X0"], names)
-        frame = tuple(VectorField.from_strings(comps, names)
-                      for comps in data["frame"])
-        Q = ex.parse(data["Q"], names)
-        density = ex.parse(data["density"], names)
+        n = _count(data, "dim")
+        k = _count(data, "rank")
+        X0 = _texts(data["X0"], n, "structure field 'X0'")
+        frame = data["frame"]
+        if not isinstance(frame, (list, tuple)):
+            raise GeometryError("structure field 'frame' must be a list of"
+                                " fields, got %r" % (frame,))
+        frame = [_texts(f, n, "each field of 'frame'") for f in frame]
+        Q, density = _text(data, "Q"), _text(data, "density")
     except KeyError as missing:
         raise GeometryError("structure file is missing %s" % missing) from None
-    return ControlSystem(dim=n, rank=k, X0=X0, frame=frame, Q=Q,
-                         density=density, name=str(data.get("name", "custom")))
+    names = ex.variables(n)
+    return ControlSystem(
+        dim=n, rank=k, X0=VectorField.from_strings(X0, names),
+        frame=tuple(VectorField.from_strings(f, names) for f in frame),
+        Q=ex.parse(Q, names), density=ex.parse(density, names),
+        name=str(data.get("name", "custom")))
 
 
 def load_structure(path):
     with open(path) as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except (ValueError, RecursionError) as err:
+            raise GeometryError("structure file %s is not valid JSON: %s"
+                                % (path, err)) from None
     return structure_from_dict(data)

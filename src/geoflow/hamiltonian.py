@@ -62,19 +62,41 @@ def hamiltonian(sys):
     return sys.cached("ham_expr", lambda: _build_hamiltonian(sys))
 
 
-def _build_hamiltonian(sys):
+def _pairing(sys, f):
+    """<p, f(x)> as an expression over (x, p)."""
     n = sys.dim
-    p = [ex.Var(n + i) for i in range(n)]
+    return ex.simplify(ex.Add(tuple(
+        ex.Mul((ex.Var(n + i), f.components[i])) for i in range(n))))
 
-    def pair(f):
-        return ex.Add(tuple(ex.Mul((p[i], f.components[i])) for i in range(n)))
 
-    quad = [ex.Pow(pair(f), 2) for f in sys.frame]
+def _control_exprs(sys):
+    """The controls u_a = <p, X_a(x)> as expressions over (x, p)."""
+    return [_pairing(sys, f) for f in sys.frame]
+
+
+def _build_hamiltonian(sys):
+    quad = [ex.Pow(u, 2) for u in _control_exprs(sys)]
     return ex.simplify(ex.Add((
         ex.Mul((ex.Const(0.5), ex.Add(tuple(quad)))),
-        pair(sys.X0),
+        _pairing(sys, sys.X0),
         ex.Mul((ex.Const(0.5), sys.Q)),
     )))
+
+
+def _hamiltonian_field(sys):
+    """The Hamiltonian vector field (dH/dp, -dH/dx) over (x, p), one
+    simplified expression per phase coordinate.  It is derived once per
+    structure: the integrator compiles it, and the control jet is its
+    derivative along the flow."""
+    def build():
+        n = sys.dim
+        H = hamiltonian(sys)
+        return tuple(
+            [ex.simplify(ex.diff(H, n + i)) for i in range(n)]
+            + [ex.simplify(ex.Mul((ex.MINUS_ONE, ex.diff(H, i))))
+               for i in range(n)])
+
+    return sys.cached("field", build)
 
 
 def _rhs_fn(sys):
@@ -84,26 +106,14 @@ def _rhs_fn(sys):
 
 
 def _build_rhs(sys):
-    n = sys.dim
-    H = hamiltonian(sys)
-    rhs = [ex.simplify(ex.diff(H, n + i)) for i in range(n)]
-    rhs += [ex.simplify(ex.Neg(ex.diff(H, i))) for i in range(n)]
-    jac = [ex.simplify(ex.diff(r, j)) for r in rhs for j in range(2 * n)]
+    rhs = list(_hamiltonian_field(sys))
+    jac = [ex.simplify(ex.diff(r, j)) for r in rhs for j in range(len(rhs))]
     return ex.compile_exprs(rhs + jac)
 
 
 def energy_at(sys, x, p):
     fn = sys.cached("ham_fn", lambda: ex.compile_exprs([hamiltonian(sys)]))
     return float(fn(list(x) + list(p))[0])
-
-
-def _control_exprs(sys):
-    """The controls u_a = <p, X_a(x)> as expressions over (x, p)."""
-    n = sys.dim
-    p = [ex.Var(n + i) for i in range(n)]
-    return [ex.simplify(ex.Add(tuple(
-        ex.Mul((p[i], f.components[i])) for i in range(n))))
-        for f in sys.frame]
 
 
 def controls_at(sys, x, p):

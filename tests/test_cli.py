@@ -142,9 +142,47 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["verify-identities", "--nmax", "0"],
         ["verify-identities", "--nmax", "-3"],
     ]
+    flat2 = {"dim": 2, "rank": 2, "X0": ["0", "0"],
+             "frame": [["1", "0"], ["0", "1"]], "Q": "0", "density": "1"}
+    line = {"dim": 1, "rank": 1, "X0": ["0"], "frame": [["1"]], "Q": "0",
+            "density": "1"}
+    malformed = [
+        ('{"dim": 3, "rank": 2,', "0,1,0"),
+        ("[" * 100000 + "]" * 100000, "0,1,0"),
+        (dict(MARTINET, dim="two"), "0,1,0"),
+        (dict(flat2, dim=2.7), "1,0"),
+        (dict(line, rank=True), "1"),
+        ([MARTINET], "0,1,0"),
+        (dict(MARTINET, Q=0), "0,1,0"),
+        (dict(MARTINET, density=["1"]), "0,1,0"),
+        (dict(MARTINET, X0="0,0,0"), "0,1,0"),
+        (dict(MARTINET, X0=["0", "0"]), "0,1,0"),
+        (dict(MARTINET, frame=["1", "0", "0"]), "0,1,0"),
+        (dict(MARTINET, frame=[["1", 0, "0"], ["0", "1", "x1^2"]]), "0,1,0"),
+    ]
+    for i, (content, covector) in enumerate(malformed):
+        path = tmp_path / ("malformed%d.json" % i)
+        path.write_text(content if isinstance(content, str)
+                        else json.dumps(content))
+        cases.append(["analyze", "--file", str(path), "--covector",
+                      covector])
     for argv in cases:
         assert run(argv) == 1, argv
         capsys.readouterr()
+
+
+def test_main_reuses_one_parser(capsys):
+    assert run(["analyze", "heisenberg3", "--covector", "0.6,0.8,1",
+                "--no-fit", "--potential", "x1^2"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert run(["analyze", "heisenberg3", "--covector", "0.6,0.8,1"]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert "fit" not in first and "fit" in second
+    assert first["structure"] == "heisenberg3 (potential=x1^2)"
+    assert second["structure"] == "heisenberg3"
+    assert run(["list-builtins"]) == 0
+    assert "heisenberg3" in capsys.readouterr().out
+    assert cli._build_parser() is cli._build_parser()
 
 
 HEISENBERG_NAMED_FLAT = {"name": "euclidean:3", "dim": 3, "rank": 2,

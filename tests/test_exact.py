@@ -105,17 +105,9 @@ def test_leading_constant_from_rows():
     assert fl.leading_constant([2, 1, 1, 1]) == Fraction(1, 12)
 
 
-def test_det_ratio_formula_consistency():
-    # ratio of consecutive dets agrees with the standalone formula
-    for n in range(2, 8):
-        assert (exact.det_formula(n) / exact.det_formula(n - 1)
-                == exact.det_ratio_formula(n))
-
-
 def test_rational_matrix_ops():
     m = exact.RationalMatrix([[Fraction(1), Fraction(2)],
                               [Fraction(3), Fraction(5)]])
     assert m.det() == Fraction(-1)
     assert m.trace() == Fraction(6)
-    assert m.transpose().rows[0][1] == Fraction(3)
     assert (m @ m.inverse()) == exact.RationalMatrix.identity(2)

@@ -105,7 +105,9 @@ def test_substitute():
 
 
 def test_compile_exprs_matches_evaluate():
-    nodes = [ex.parse("x1^2 - x2", V3), ex.parse("sin(x1) + x3", V3)]
+    nodes = [ex.parse(text, V3) for text in (
+        "x1^2 - x2", "sin(x1) + x3", "-x1", "x2 - x3", "-(x1*x2)/x3",
+        "cos(-x1)")]
     fn = ex.compile_exprs(nodes)
     for _ in range(5):
         x = [float(v) for v in RNG.uniform(-2, 2, size=3)]

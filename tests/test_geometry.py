@@ -133,8 +133,18 @@ def test_structure_from_dict_errors():
         geo.structure_from_dict(bad)
     bad = dict(base)
     bad["X0"] = ["0"]   # wrong arity
-    with pytest.raises(geo.GeometryError):
+    with pytest.raises(geo.GeometryError, match="'X0'"):
         geo.structure_from_dict(bad)
+    for key, value in [("dim", "two"), ("dim", 2.7), ("rank", True),
+                       ("X0", "0,0"), ("frame", [["1", 0]]),
+                       ("frame", "1,0"), ("Q", 0), ("density", None)]:
+        with pytest.raises(geo.GeometryError, match="'%s'" % key):
+            geo.structure_from_dict(dict(base, **{key: value}))
+    with pytest.raises(geo.GeometryError, match="JSON object"):
+        geo.structure_from_dict([base])
+    # A malformed expression stays a parse error.
+    with pytest.raises(ex.ExprError):
+        geo.structure_from_dict(dict(base, Q="x1 +"))
 
 
 def test_load_structure_roundtrip(tmp_path):

@@ -176,6 +176,16 @@ def test_scaling_checks_weighted():
     assert out["rho_base"] == pytest.approx(float(WE3_GRAD @ p0), abs=1e-8)
 
 
+def test_scaling_checks_reject_a_potential_that_vanishes_at_a_point():
+    # x1 - 0.1 is zero wherever x1 = 0.1, so a check at single points can
+    # miss it; the potential is not zero as an expression.
+    sys = catalog.with_overrides(catalog.builtin("heisenberg3"),
+                                 potential="x1 - 0.1")
+    with pytest.raises(rh.RhoError, match="no drift and no potential"):
+        rh.scaling_checks(sys, np.zeros(3), np.array([0.6, 0.8, 1.1]),
+                          [0.5, 2.0, 3.0])
+
+
 def test_scaling_checks_contact():
     sys = catalog.builtin("heisenberg5:1,2")
     p0 = np.array([0.5, -0.4, 0.6, 0.3, 1.1])
