@@ -85,8 +85,9 @@ def poisson_taylor(sys, x, p, order):
 
 
 def velocity_at(sys, x, p):
-    """gammadot = X_0(x) + sum_a u_a X_a(x)."""
-    u = ham.controls_at(sys, x, p)
+    """gammadot = X_0(x) + sum_a u_a X_a(x), the controls u being row 0
+    of the control jet."""
+    u = poisson_taylor(sys, x, p, 0)[:, 0]
     return sys.drift_at(x) + sys.frame_matrix(x) @ u
 
 
@@ -157,25 +158,24 @@ def _extension_fn(sys, j):
         [c for W in _extension_coefficient(sys, j, 0) for c in W.components]))
 
 
-def _time_gradient(sys, x, p):
-    """alpha = v/|v|^2 for the velocity v at (x, p), so that the time
+def _time_gradient(sys, x, frame, u):
+    """alpha = v/|v|^2 for the velocity v = X_0(x) + frame @ u, with `frame`
+    the frame matrix at x and u the controls there, so that the time
     function S grows at unit rate along the trajectory."""
-    v = velocity_at(sys, x, p)
+    v = sys.drift_at(x) + frame @ u
     norm2 = float(np.dot(v, v))
     if norm2 < 1e-24:
         raise FlagError("the trajectory is stationary at this covector")
     return v / norm2
 
 
-def _bracket_columns(sys, x, p, alpha, j):
-    """(n, k) array whose columns are (ad T)^j X_a at x, where alpha is
-    _time_gradient at (x, p)."""
-    n, k = sys.dim, sys.rank
-    if j == 0:
-        return sys.frame_matrix(x)
-    jets = poisson_taylor(sys, x, p, j)
-    vals = _extension_fn(sys, j)(list(x) + list(alpha) + list(jets.T.ravel()))
-    return np.array(vals, dtype=float).reshape(k, n).T
+def _bracket_columns(sys, x, alpha, jet):
+    """(n, k) array whose columns are (ad T)^j X_a at x, j >= 1, where
+    `jet` is the control jet to order j at the point and alpha its
+    _time_gradient."""
+    j = jet.shape[1] - 1
+    vals = _extension_fn(sys, j)(list(x) + list(alpha) + list(jet.T.ravel()))
+    return np.array(vals, dtype=float).reshape(sys.rank, sys.dim).T
 
 
 def admissible_extension(sys, x, p, order):
@@ -184,9 +184,9 @@ def admissible_extension(sys, x, p, order):
     s(x) = <alpha, x - x0> and the jet coefficients bound to their
     values."""
     x = np.asarray(x, dtype=float)
-    alpha = _time_gradient(sys, x, p)
-    jets = poisson_taylor(sys, x, p, order).T.ravel()
-    binding = {2 * sys.dim + i: float(c) for i, c in enumerate(jets)}
+    jet = poisson_taylor(sys, x, p, order)
+    alpha = _time_gradient(sys, x, sys.frame_matrix(x), jet[:, 0])
+    binding = {2 * sys.dim + i: float(c) for i, c in enumerate(jet.T.ravel())}
     s = ex.Add(tuple(ex.Mul((ex.Const(a), ex.Add((ex.Var(q), ex.Const(-xq)))))
                      for q, (a, xq) in enumerate(zip(alpha, x))))
     Ts = [_extension_term(sys, r) for r in range(order + 1)]
@@ -220,12 +220,14 @@ def _closed(ranks, dim):
         len(ranks) >= 3 and ranks[-1] == ranks[-2] == ranks[-3]))
 
 
-def _growth_profile(sys, points, max_step, factors=(1.0,)):
+def _growth_profile(sys, xs, ps, max_step, factors=(1.0,)):
     """Rank profiles of the accumulated bracket columns at each covector
-    (x, p) of `points`, one per factor of RANK_TOL.  Returns one entry per
-    point: (profiles, bracket columns of the first profile's levels), or
-    the FlagError that point raised.
+    (xs[i], ps[i]) of the stacks, one per factor of RANK_TOL.  Returns one
+    entry per point: (profiles, bracket columns of the first profile's
+    levels), or the FlagError that point raised.
 
+    Level 0 is the frame; the velocity behind the time gradient is read
+    from it and from row 0 of the control jet that level 1 evaluates.
     Each level evaluates the bracket columns of every point with a
     profile still open, normalizes them, drops the vanishing ones, and
     takes one SVD of the accumulated columns per distinct column count
@@ -235,20 +237,25 @@ def _growth_profile(sys, points, max_step, factors=(1.0,)):
     closes at full rank or after two no-gain levels in a row, not after
     one."""
     n = sys.dim
-    profiles = [tuple([] for _ in factors) for _ in points]
-    per_level = [[] for _ in points]
-    rows = [np.empty((0, n)) for _ in points]
+    profiles = [tuple([] for _ in factors) for _ in xs]
+    per_level = [[] for _ in xs]
+    rows = [np.empty((0, n)) for _ in xs]
     alphas = {}
     failed = {}
     for j in range(max_step):
         level = {}
-        for i, (x, p) in enumerate(points):
+        for i, (x, p) in enumerate(zip(xs, ps)):
             if i in failed or all(_closed(r, n) for r in profiles[i]):
                 continue
+            if j == 0:
+                level[i] = sys.frame_matrix(x)
+                continue
+            jet = poisson_taylor(sys, x, p, j)
             try:
                 if j == 1:
-                    alphas[i] = _time_gradient(sys, x, p)
-                level[i] = _bracket_columns(sys, x, p, alphas.get(i), j)
+                    alphas[i] = _time_gradient(sys, x, per_level[i][0],
+                                               jet[:, 0])
+                level[i] = _bracket_columns(sys, x, alphas[i], jet)
             except FlagError as err:
                 failed[i] = err
         if not level:
@@ -276,13 +283,13 @@ def _growth_profile(sys, points, max_step, factors=(1.0,)):
                     if j == 0 and r < sys.rank:
                         failed[i] = FlagError(
                             "frame fields are dependent at %s"
-                            % (np.asarray(points[i][0]).tolist(),))
+                            % (xs[i].tolist(),))
                         break
                     ranks.append(r)
     return [failed[i] if i in failed else (
         tuple(tuple(r) for r in profiles[i]),
         tuple(per_level[i][:len(profiles[i][0])]))
-        for i in range(len(points))]
+        for i in range(len(xs))]
 
 
 def _first_failure_raised(results):
@@ -321,7 +328,7 @@ def flag_at(sys, x, p):
     max_step = sys.dim + 2
     factors = (1.0, 0.1, 10.0)
     [((raw, *alts), per_level)] = _first_failure_raised(
-        _growth_profile(sys, [(x, p)], max_step, factors))
+        _growth_profile(sys, x[None], p[None], max_step, factors))
     diagnostics = [
         "growth vector is tolerance sensitive: %r at %g times the rank"
         " tolerance" % (alt, factor)
@@ -390,10 +397,9 @@ def equiregular_from(geodesic, flag, t_max):
     geodesic over [0, t_max]; `flag` is flag_at at the geodesic's base
     covector.  Returns (verdict, growths), the base growth first."""
     sys = geodesic.sys
-    samples = [geodesic.sample(t) for t in equiregular_times(t_max)]
+    x, p, _ = geodesic.at(equiregular_times(t_max))
     # Only the growth is read here: one rank profile, no diagnostics.
-    results = _first_failure_raised(_growth_profile(
-        sys, [(s.x, s.p) for s in samples], sys.dim + 2))
+    results = _first_failure_raised(_growth_profile(sys, x, p, sys.dim + 2))
     growths = [flag.growth] + [_trim(raw, sys.dim)[0]
                                for (raw,), _ in results]
     verdict = all(g == flag.growth for g in growths)

@@ -130,7 +130,8 @@ class ControlSystem:
                          lambda: ex.compile_exprs([self.density]))
         value = fn(list(x))[0]
         if not value > 0.0:
-            raise GeometryError("density is not positive at %s" % (list(x),))
+            raise GeometryError("density is not positive at %s"
+                                % (np.asarray(x).tolist(),))
         return value
 
 

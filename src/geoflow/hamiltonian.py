@@ -14,16 +14,14 @@ initial covector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
 
 __all__ = [
-    "IntegrationError", "FlowSample", "Geodesic", "hamiltonian",
-    "controls_at", "flow", "transition", "transition_many",
-    "vertical_jacobian", "signed_log_det",
+    "IntegrationError", "Geodesic", "hamiltonian", "flow", "transition",
+    "transition_many", "vertical_jacobian", "signed_log_det",
 ]
 
 # Simulated relative accuracy for the adaptive integrator.
@@ -39,18 +37,6 @@ class IntegrationError(RuntimeError):
     def __init__(self, message, t_last=None):
         super().__init__(message)
         self.t_last = t_last
-
-
-@dataclass(frozen=True)
-class FlowSample:
-    """One point of a trajectory: time, position, covector, the energy
-    there, and its drift from t=0."""
-
-    t: float
-    x: np.ndarray
-    p: np.ndarray
-    energy: float
-    energy_drift: float
 
 
 # ----------------------------------------------------------------------
@@ -114,12 +100,6 @@ def _build_rhs(sys):
 def energy_at(sys, x, p):
     fn = sys.cached("ham_fn", lambda: ex.compile_exprs([hamiltonian(sys)]))
     return float(fn(list(x) + list(p))[0])
-
-
-def controls_at(sys, x, p):
-    fn = sys.cached("controls_fn",
-                    lambda: ex.compile_exprs(_control_exprs(sys)))
-    return np.array(fn(list(x) + list(p)), dtype=float)
 
 
 # ----------------------------------------------------------------------
@@ -340,12 +320,16 @@ def _safe(f):
 
 def _initial_step(f, y0, f0, direction, rtol, atol):
     sc = atol + rtol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / sc) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / sc) ** 2)))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * direction * f0
-    f1 = f(y1)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / sc) ** 2))) / h0
+    with np.errstate(over="ignore", invalid="ignore"):
+        d0 = math.sqrt(float(np.mean((y0 / sc) ** 2)))
+        d1 = math.sqrt(float(np.mean((f0 / sc) ** 2)))
+        if not math.isfinite(d1):
+            # The scaled field overflows: no step size is representable.
+            raise IntegrationError(
+                "vector field too large to start at t=0.0", t_last=0.0)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        f1 = f(y0 + h0 * direction * f0)
+        d2 = math.sqrt(float(np.mean(((f1 - f0) / sc) ** 2))) / h0
     h1 = 1e-6
     if math.isfinite(d2) and max(d1, d2) > 1e-15:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
@@ -453,19 +437,11 @@ def _integrate(f, y0, targets, rtol, atol):
     return out
 
 
-def _make_sample(sys, t, x, p, e0):
-    e = energy_at(sys, x, p)
-    drift = abs(e - e0)
-    if drift > ENERGY_SLACK * (1.0 + abs(e0)):
-        raise IntegrationError(
-            "energy drifted by %r at t=%r" % (drift, t), t_last=t)
-    return FlowSample(t=t, x=np.asarray(x), p=np.asarray(p), energy=e,
-                      energy_drift=drift)
-
-
 def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL):
-    """Samples plus full 2n-by-2n variational transition matrices at the
-    requested times (any signs, any order, repeats allowed).
+    """Phase states (x, p) as a (len(times), 2n) array and the full 2n-by-2n
+    variational transition matrices as a (len(times), 2n, 2n) array, at
+    the requested times (any signs, any order, repeats allowed), in the
+    order of `times`.  The energy is checked at every distinct time.
 
     Times of a common sign are visited in a single continued integration,
     so one call makes at most two."""
@@ -483,10 +459,16 @@ def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL):
 
     y0 = np.concatenate([x0, p0, np.eye(m).ravel()])
     e0 = energy_at(sys, x0, p0)
-    found = {}
-    if 0.0 in times:
-        found[0.0] = (_make_sample(sys, 0.0, x0.copy(), p0.copy(), e0),
-                      np.eye(m))
+
+    def checked(t, y):
+        # y, once its energy is within ENERGY_SLACK of the start's.
+        drift = abs(energy_at(sys, y[:n], y[n:m]) - e0)
+        if drift > ENERGY_SLACK * (1.0 + abs(e0)):
+            raise IntegrationError(
+                "energy drifted by %r at t=%r" % (drift, t), t_last=t)
+        return y
+
+    found = {0.0: checked(0.0, y0)} if 0.0 in times else {}
     neg = sorted({t for t in times if t < 0}, reverse=True)
     pos = sorted({t for t in times if t > 0})
     for group in (neg, pos):
@@ -497,17 +479,20 @@ def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL):
         # error control relative there.
         reached = _integrate(f, y0, group, tol, tol * 1e-6)
         for target, (t, y) in zip(group, reached):
-            sample = _make_sample(sys, t, y[:n], y[n:m], e0)
-            found[target] = (sample, y[m:].reshape(m, m).copy())
-    return [found[t] for t in times]
+            found[target] = checked(t, y)
+    Y = np.array([found[t] for t in times]).reshape(len(times), m + m * m)
+    return Y[:, :m], Y[:, m:].reshape(-1, m, m)
 
 
 def transition(sys, x0, p0, t):
-    return transition_many(sys, x0, p0, [t])[0]
+    """(x, p, M) at one time."""
+    Z, M = transition_many(sys, x0, p0, [t])
+    return Z[0, :sys.dim], Z[0, sys.dim:], M[0]
 
 
 def flow(sys, x0, p0, t):
-    return transition(sys, x0, p0, t)[0]
+    """(x, p) at one time."""
+    return transition(sys, x0, p0, t)[:2]
 
 
 class Geodesic:
@@ -517,7 +502,7 @@ class Geodesic:
 
     Stages split into the times they need and a function of the geodesic;
     a caller collects the times first, builds one Geodesic, and each stage
-    reads its (sample, M) pairs back by exact requested time.  Time 0 is
+    reads its (x, p, M) stacks back by exact requested time.  Time 0 is
     always available."""
 
     def __init__(self, sys, x0, p0, times, tol=DEFAULT_TOL):
@@ -525,25 +510,28 @@ class Geodesic:
         self.x0 = np.asarray(x0, dtype=float)
         self.p0 = np.asarray(p0, dtype=float)
         distinct = sorted({0.0, *(float(t) for t in times)})
-        self._points = dict(zip(distinct, transition_many(
-            sys, self.x0, self.p0, distinct, tol)))
+        self._index = {t: i for i, t in enumerate(distinct)}
+        self._z, self._M = transition_many(sys, self.x0, self.p0, distinct,
+                                           tol)
 
-    def point(self, t):
-        """(FlowSample, transition matrix) at a time this geodesic was
-        built for."""
-        try:
-            return self._points[float(t)]
-        except KeyError:
-            raise KeyError("t=%r is not among the times this geodesic was"
-                           " integrated to" % (t,)) from None
-
-    def sample(self, t):
-        return self.point(t)[0]
+    def at(self, times):
+        """(x, p, M) stacks at times this geodesic was built for, one row
+        per time in the order given."""
+        rows = []
+        for t in times:
+            i = self._index.get(float(t))
+            if i is None:
+                raise KeyError("t=%r is not among the times this geodesic"
+                               " was integrated to" % (t,))
+            rows.append(i)
+        z = self._z[rows]
+        return z[:, :self.sys.dim], z[:, self.sys.dim:], self._M[rows]
 
 
 def vertical_jacobian(M, n):
-    """d x(t) / d p(0): the upper right block of the transition matrix."""
-    return M[:n, n:2 * n]
+    """d x(t) / d p(0): the upper right block of each transition matrix of
+    a stack (..., 2n, 2n)."""
+    return M[..., :n, n:2 * n]
 
 
 def signed_log_det(A):

@@ -129,12 +129,12 @@ def gram_from(geodesic, flag, times, complement=None):
     comp = geo.aux_frame_at(sys, geodesic.x0, complement).complement
     expected = tuple(flag.raw_ranks)
     distinct = list({float(t) for t in times})
-    samples = [geodesic.sample(t) for t in distinct]
+    xs, ps, _ = geodesic.at(distinct)
     failure = None
     aux = []
-    for t, s in zip(distinct, samples):
+    for t, x in zip(distinct, xs):
         try:
-            aux.append(geo.aux_frame_at(sys, s.x, comp).matrix)
+            aux.append(geo.aux_frame_at(sys, x, comp).matrix)
         except geo.GeometryError as err:
             failure = RhoError(
                 "auxiliary completion degenerated at t=%r: %s" % (t, err))
@@ -142,8 +142,8 @@ def gram_from(geodesic, flag, times, complement=None):
     # A point after a failing one cannot change the error raised, so each
     # check runs only on the points before the first failure so far.
     columns = []
-    for result in fl._growth_profile(
-            sys, [(s.x, s.p) for s in samples[:len(aux)]], len(expected)):
+    for result in fl._growth_profile(sys, xs[:len(aux)], ps[:len(aux)],
+                                     len(expected)):
         if isinstance(result, fl.FlagError):
             failure = result
             break
@@ -216,12 +216,10 @@ def log_volume_ratios_from(geodesic, times):
     transition matrices, with one log-determinant call for all of them."""
     sys = geodesic.sys
     log_m0 = math.log(sys.density_at(geodesic.x0))
-    points = [geodesic.point(t) for t in times]
-    n = sys.dim
-    _, lds = ham.signed_log_det(np.array(
-        [ham.vertical_jacobian(M, n) for _, M in points]).reshape(-1, n, n))
-    return np.array([ld + math.log(sys.density_at(s.x)) - log_m0
-                     for ld, (s, _) in zip(lds, points)])
+    xs, _, M = geodesic.at(times)
+    _, lds = ham.signed_log_det(ham.vertical_jacobian(M, sys.dim))
+    return np.array([ld + math.log(sys.density_at(x)) - log_m0
+                     for ld, x in zip(lds, xs)])
 
 
 def log_volume_ratios(sys, x0, p0, times):

@@ -8,7 +8,9 @@ import pytest
 
 import geoflow.catalog as catalog
 import geoflow.cli as cli
+import geoflow.expr as expr
 import geoflow.flag as fl
+import geoflow.geometry as geo
 import geoflow.hamiltonian as ham
 
 MARTINET = {"name": "martinet", "dim": 3, "rank": 2,
@@ -77,6 +79,8 @@ def test_analyze_numerical_failure_exit(capsys):
          "--window", "0.1,1e300"],
         ["analyze", "euclidean:2", "--covector", "1,0",
          "--window", "1e-300,1e-299"],
+        # the scaled field overflows at the start
+        ["analyze", "heisenberg3", "--covector", "1e150,0,1"],
     ]
     for argv in cases:
         assert run(argv) == 3, argv
@@ -169,6 +173,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     for argv in cases:
         assert run(argv) == 1, argv
         capsys.readouterr()
+    # a density that vanishes at the base point; the point prints as plain
+    # floats
+    path = tmp_path / "vanishing-density.json"
+    path.write_text(json.dumps(dict(flat2, density="x1")))
+    assert run(["analyze", "--file", str(path), "--covector", "1,0"]) == 1
+    assert capsys.readouterr().err == ("error: density is not positive at"
+                                       " [0.0, 0.0]\n")
 
 
 def test_main_reuses_one_parser(capsys):
@@ -250,7 +261,8 @@ def test_list_builtins_names(capsys):
 
 
 def test_sweep_statuses_in_input_order(tmp_path, capsys):
-    covectors = ["1,0,1", "0,0,1", "1,0", "0.6,0.8,nan"]
+    covectors = ["1,0,1", "0,0,1", "1,0", "0.6,0.8,nan", "1e150,0,1",
+                 "0.6,0.8,1.1"]
     batch = tmp_path / "covs.txt"
     batch.write_text("".join(c + "\n" for c in covectors))
     rc = run(["sweep", "heisenberg3", str(batch)])
@@ -265,13 +277,15 @@ def test_sweep_statuses_in_input_order(tmp_path, capsys):
         assert alone == [lines[0], lines[i + 1]]
     assert lines[0].rstrip() == ("covector,growth,dimension,rho,C_fit,"
                                  "trR_fit,residual,status")
-    assert len(lines) == 5
+    assert len(lines) == 7
     first = lines[1].split(",")
     assert first[0] == '"1'  # quoted because the covector contains commas
     assert lines[1].rstrip().endswith("ok")
     assert "degenerate" in lines[2]
     assert "bad-input" in lines[3]
     assert "bad-input" in lines[4]
+    assert ",integration-failure: " in lines[5]
+    assert lines[6].rstrip().endswith("ok")
     ok_fields = lines[1].rsplit(",", 5)
     assert float(ok_fields[2]) == pytest.approx(1.0 / 12.0, rel=1e-3)
 
@@ -450,6 +464,34 @@ def test_analyze_lapack_budget(monkeypatch):
     assert code == 0
     assert len(svds) <= 40
     assert len(slogdets) <= 3
+
+
+def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
+    # Level 0 of a flag point is its frame, and the level-1 velocity reads
+    # that frame and row 0 of the control jet.  A separate controls
+    # evaluator and a second frame evaluation per point made 99 frame
+    # evaluations and 876 evaluator calls here.
+    frames = _counting(monkeypatch, geo.ControlSystem, "frame_matrix")
+    evals = [0]
+    inner = expr.compile_exprs
+
+    def compiled(exprs):
+        fn = inner(exprs)
+
+        def counted(values):
+            evals[0] += 1
+            return fn(values)
+
+        return counted
+
+    monkeypatch.setattr(expr, "compile_exprs", compiled)
+    system = catalog.builtin("engel")
+    _, code = cli.analyze_report(system, np.zeros(4),
+                                 np.array([0.8, 0.6, 0.5, -0.4]))
+    assert code == 0
+    assert len(frames) <= 65
+    assert "controls_fn" not in system._cache
+    assert evals[0] <= 810
 
 
 def test_analyze_checks_the_flag_before_integrating(monkeypatch):

@@ -58,8 +58,8 @@ def test_growth_profile_stacks_ragged_levels(monkeypatch):
     points = [(np.zeros(3), np.array([1.0, 0.0, 0.0])),
               (np.zeros(3), np.array([1.0, 0.0, 1.0]))]
     factors = (1.0, 0.1, 10.0)
-    singles = [fl._growth_profile(sys, [point], 5, factors)[0]
-               for point in points]
+    singles = [fl._growth_profile(sys, x[None], p[None], 5, factors)[0]
+               for x, p in points]
     svds = []
     inner = np.linalg.svd
 
@@ -68,7 +68,8 @@ def test_growth_profile_stacks_ragged_levels(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    stacked = fl._growth_profile(sys, points, 5, factors)
+    xs, ps = (np.array(stack) for stack in zip(*points))
+    stacked = fl._growth_profile(sys, xs, ps, 5, factors)
     assert sorted(svds) == [(1, 3, 3), (1, 3, 4), (2, 3, 2)]
     for (profiles, columns), (one_profiles, one_columns) in zip(stacked,
                                                                 singles):
@@ -224,10 +225,12 @@ def test_poisson_taylor_matches_flow_derivatives():
     p0 = np.array([0.8, 0.6, 0.5, -0.4])
     coeffs = fl.poisson_taylor(sys, x0, p0, 2)
     h = 1e-3
-    samples = {dt: ham.flow(sys, x0, p0, dt) for dt in
-               (-2 * h, -h, h, 2 * h)}
-    u = {dt: ham.controls_at(sys, s.x, s.p) for dt, s in samples.items()}
-    u0 = ham.controls_at(sys, x0, p0)
+    def controls(x, p):
+        return fl.poisson_taylor(sys, x, p, 0)[:, 0]
+
+    u = {dt: controls(*ham.flow(sys, x0, p0, dt))
+         for dt in (-2 * h, -h, h, 2 * h)}
+    u0 = controls(x0, p0)
     du = (u[h] - u[-h]) / (2 * h)
     d2u = (u[h] - 2 * u0 + u[-h]) / (h * h)
     coeffs = np.asarray(coeffs)
@@ -303,9 +306,9 @@ def test_extension_reproduces_velocity_along_curve():
     p0 = np.array([0.8, 0.6, 0.5, -0.4])
     T = fl.admissible_extension(sys, x0, p0, 4)
     for t in (0.0, 0.02, 0.05):
-        s = ham.flow(sys, x0, p0, t)
-        want = fl.velocity_at(sys, s.x, s.p)
-        got = ex.compile_exprs(T.components)(list(s.x))
+        x, p = ham.flow(sys, x0, p0, t)
+        want = fl.velocity_at(sys, x, p)
+        got = ex.compile_exprs(T.components)(list(x))
         assert np.allclose(got, want, atol=1e-6)
 
 
@@ -319,9 +322,11 @@ def test_bracket_columns_match_brackets_of_the_extension(name):
     for _ in range(2):
         x = rng.uniform(-0.6, 0.6, size=sys.dim)
         p = catalog.sample_covector(name, rng)
-        alpha = fl._time_gradient(sys, x, p)
+        u = fl.poisson_taylor(sys, x, p, 0)[:, 0]
+        alpha = fl._time_gradient(sys, x, sys.frame_matrix(x), u)
         for j in range(1, fl.flag_at(sys, x, p).step):
-            got = fl._bracket_columns(sys, x, p, alpha, j)
+            got = fl._bracket_columns(sys, x, alpha,
+                                      fl.poisson_taylor(sys, x, p, j))
             for order in (j, j + 2):
                 T = fl.admissible_extension(sys, x, p, order)
                 fields = sys.frame
