@@ -203,8 +203,7 @@ def ricci_oracle(sys, x0, p0):
     if kind == "flat":
         return 0.0
     if kind == "sphere2":
-        return 2.0 * ham.energy_at(sys, np.asarray(x0, dtype=float),
-                                   np.asarray(p0, dtype=float))
+        return 2.0 * ham.energy_at(sys, x0, p0)
     return None
 
 

@@ -284,7 +284,8 @@ def _sweep_row(system, x0, line, window, samples, tol):
         row["status"] = "ok"
     except ham.IntegrationError as err:
         row["status"] = "integration-failure: %s" % err
-    except (fl.FlagError, rh.RhoError, asym.AsymptoticsError) as err:
+    except (fl.FlagError, fl.NonFiniteError, rh.RhoError,
+            asym.AsymptoticsError) as err:
         row["status"] = "degenerate: %s" % err
     except (ValueError, geo.GeometryError) as err:
         row["status"] = "bad-input: %s" % err
@@ -484,7 +485,8 @@ def main(argv=None):
     except ham.IntegrationError as err:
         _sys.stderr.write("integration failure: %s\n" % err)
         return EXIT_NUMERIC
-    except (fl.FlagError, rh.RhoError, asym.AsymptoticsError) as err:
+    except (fl.FlagError, fl.NonFiniteError, rh.RhoError,
+            asym.AsymptoticsError) as err:
         _sys.stderr.write("numerical failure: %s\n" % err)
         return EXIT_NUMERIC
     except (geo.GeometryError, expr.ExprError, OSError) as err:

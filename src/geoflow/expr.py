@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
+
 __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Div", "Pow", "Call",
     "ExprError", "ExprSyntaxError", "UnknownIdentifierError",
@@ -639,7 +641,11 @@ def _atom_source(e):
 def compile_exprs(exprs):
     """Compile expressions into one positional evaluator.
 
-    Returns f(values) -> tuple of floats, one per input expression.
+    Returns f(values) -> float ndarray, one entry per expression, for
+    `values` any float sequence or 1-D array; the generated code runs on
+    Python floats.  A formula that overflows or leaves its domain makes
+    the whole output NaN, and a product that overflows gives inf: every
+    caller treats a non-finite entry as its own numerical failure.
     Structurally identical subtrees are emitted once, so shared subtrees act
     as free common-subexpression elimination in the generated code.
     """
@@ -681,4 +687,14 @@ def compile_exprs(exprs):
     )
     namespace = {"_%s" % fn: _FUNC_EVAL[fn] for fn in _FUNC_EVAL}
     exec(compile(source, "<geoflow-expr>", "exec"), namespace)
-    return namespace["geoflow_compiled"]
+    code = namespace["geoflow_compiled"]
+
+    def evaluator(values):
+        args = np.asarray(values, dtype=float).tolist()
+        try:
+            out = code(args)
+        except (OverflowError, ZeroDivisionError, ValueError):
+            return np.full(len(results), np.nan)
+        return np.array(out, dtype=float)
+
+    return evaluator

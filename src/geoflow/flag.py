@@ -37,10 +37,10 @@ from . import geometry as geo
 from . import hamiltonian as ham
 
 __all__ = [
-    "FlagError", "GeodesicFlag", "flag_at", "geodesic_dimension",
-    "homogeneous_weight", "young_diagram", "leading_constant",
-    "equiregular_times", "equiregular_from", "admissible_extension",
-    "poisson_taylor", "velocity_at",
+    "FlagError", "NonFiniteError", "GeodesicFlag", "flag_at",
+    "geodesic_dimension", "homogeneous_weight", "young_diagram",
+    "leading_constant", "equiregular_times", "equiregular_from",
+    "admissible_extension", "poisson_taylor", "velocity_at",
 ]
 
 RANK_TOL = 1e-9
@@ -52,6 +52,12 @@ EQUIREGULAR_SAMPLES = 5
 
 class FlagError(ValueError):
     pass
+
+
+class NonFiniteError(ArithmeticError):
+    """The flag's values at a point overflow or leave the domain of the
+    structure's formulas: a numerical failure, not a degenerate
+    covector."""
 
 
 def _poisson_exprs(sys, order):
@@ -80,8 +86,7 @@ def poisson_taylor(sys, x, p, order):
     (i, r) entry is (d/dt)^r u_i at t = 0."""
     fn = sys.cached(("poisson_fn", order), lambda: ex.compile_exprs(
         [e for row in _poisson_exprs(sys, order) for e in row]))
-    vals = fn(list(x) + list(p))
-    return np.array(vals, dtype=float).reshape(sys.rank, order + 1)
+    return fn(np.concatenate([x, p])).reshape(sys.rank, order + 1)
 
 
 def velocity_at(sys, x, p):
@@ -162,8 +167,12 @@ def _time_gradient(sys, x, frame, u):
     """alpha = v/|v|^2 for the velocity v = X_0(x) + frame @ u, with `frame`
     the frame matrix at x and u the controls there, so that the time
     function S grows at unit rate along the trajectory."""
-    v = sys.drift_at(x) + frame @ u
-    norm2 = float(np.dot(v, v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = sys.drift_at(x) + frame @ u
+        norm2 = float(np.dot(v, v))
+    if not math.isfinite(norm2):
+        raise NonFiniteError("the squared velocity is not finite at this"
+                             " covector")
     if norm2 < 1e-24:
         raise FlagError("the trajectory is stationary at this covector")
     return v / norm2
@@ -174,8 +183,8 @@ def _bracket_columns(sys, x, alpha, jet):
     `jet` is the control jet to order j at the point and alpha its
     _time_gradient."""
     j = jet.shape[1] - 1
-    vals = _extension_fn(sys, j)(list(x) + list(alpha) + list(jet.T.ravel()))
-    return np.array(vals, dtype=float).reshape(sys.rank, sys.dim).T
+    vals = _extension_fn(sys, j)(np.concatenate([x, alpha, jet.T.ravel()]))
+    return vals.reshape(sys.rank, sys.dim).T
 
 
 def admissible_extension(sys, x, p, order):
@@ -224,7 +233,7 @@ def _growth_profile(sys, xs, ps, max_step, factors=(1.0,)):
     """Rank profiles of the accumulated bracket columns at each covector
     (xs[i], ps[i]) of the stacks, one per factor of RANK_TOL.  Returns one
     entry per point: (profiles, bracket columns of the first profile's
-    levels), or the FlagError that point raised.
+    levels), or the FlagError or NonFiniteError that point raised.
 
     Level 0 is the frame; the velocity behind the time gradient is read
     from it and from row 0 of the control jet that level 1 evaluates.
@@ -235,7 +244,8 @@ def _growth_profile(sys, xs, ps, max_step, factors=(1.0,)):
     it.  A profile can pause for one level and then resume (a level that
     adds no direction at the point may still feed later levels), so it
     closes at full rank or after two no-gain levels in a row, not after
-    one."""
+    one.  A point whose squared velocity or column norms are not finite
+    fails with NonFiniteError and never gets a rank."""
     n = sys.dim
     profiles = [tuple([] for _ in factors) for _ in xs]
     per_level = [[] for _ in xs]
@@ -256,16 +266,23 @@ def _growth_profile(sys, xs, ps, max_step, factors=(1.0,)):
                     alphas[i] = _time_gradient(sys, x, per_level[i][0],
                                                jet[:, 0])
                 level[i] = _bracket_columns(sys, x, alphas[i], jet)
-            except FlagError as err:
+            except (FlagError, NonFiniteError) as err:
                 failed[i] = err
         if not level:
             break
         # One contiguous row per bracket column: each norm is then the
         # same dot product numpy.linalg.norm takes of one column.
         R = np.array([C.T for C in level.values()])
-        norms = np.sqrt((R[:, :, None, :] @ R[:, :, :, None])[:, :, 0, 0])
+        with np.errstate(over="ignore"):
+            norms = np.sqrt((R[:, :, None, :] @ R[:, :, :, None])[:, :, 0, 0])
         by_count = {}
         for i, Ri, ni in zip(level, R, norms):
+            # A column that is not finite has a norm that is not either.
+            if not np.all(np.isfinite(ni)):
+                failed[i] = NonFiniteError(
+                    "level %d column norms are not finite at this covector"
+                    % (j + 1))
+                continue
             per_level[i].append(level[i])
             keep = ni > 0.0
             rows[i] = np.concatenate([rows[i], Ri[keep] / ni[keep, None]])
@@ -296,7 +313,7 @@ def _first_failure_raised(results):
     """_growth_profile results, after raising the error of the first point
     that failed."""
     for result in results:
-        if isinstance(result, FlagError):
+        if isinstance(result, Exception):
             raise result
     return results
 

@@ -117,18 +117,17 @@ class ControlSystem:
         """Frame field values at x as an (n, k) matrix of columns."""
         fn = self.cached("frame_fn", lambda: ex.compile_exprs(
             [c for f in self.frame for c in f.components]))
-        vals = fn(list(x))
-        return np.array(vals, dtype=float).reshape(self.rank, self.dim).T
+        return fn(x).reshape(self.rank, self.dim).T
 
     def drift_at(self, x):
         fn = self.cached("drift_fn",
                          lambda: ex.compile_exprs(self.X0.components))
-        return np.array(fn(list(x)), dtype=float)
+        return fn(x)
 
     def density_at(self, x):
         fn = self.cached("density_fn",
                          lambda: ex.compile_exprs([self.density]))
-        value = fn(list(x))[0]
+        value = fn(x)[0]
         if not value > 0.0:
             raise GeometryError("density is not positive at %s"
                                 % (np.asarray(x).tolist(),))

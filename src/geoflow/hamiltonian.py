@@ -99,7 +99,7 @@ def _build_rhs(sys):
 
 def energy_at(sys, x, p):
     fn = sys.cached("ham_fn", lambda: ex.compile_exprs([hamiltonian(sys)]))
-    return float(fn(list(x) + list(p))[0])
+    return float(fn(np.concatenate([x, p]))[0])
 
 
 # ----------------------------------------------------------------------
@@ -308,16 +308,6 @@ _D = _table((4, 16), {
 _MAX_STEPS = 200000
 
 
-def _safe(f):
-    def g(y):
-        try:
-            out = f(y)
-        except (OverflowError, ValueError, ZeroDivisionError):
-            return np.full(len(y), np.nan)
-        return out
-    return g
-
-
 def _initial_step(f, y0, f0, direction, rtol, atol):
     sc = atol + rtol * np.abs(y0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -370,7 +360,6 @@ def _integrate(f, y0, targets, rtol, atol):
     extension of the accepted step that holds it, all of a step's targets
     in one evaluation, and only such steps pay for the extension's three
     extra stages."""
-    f = _safe(f)
     y = np.asarray(y0, dtype=float).copy()
     t = 0.0
     k1 = f(y)
@@ -453,7 +442,7 @@ def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL):
 
     def f(y):
         # One call of the fused evaluator: the field, then its Jacobian.
-        vals = np.array(rhs(y[:m].tolist()))
+        vals = rhs(y[:m])
         J = vals[m:].reshape(m, m)
         return np.concatenate([vals[:m], (J @ y[m:].reshape(m, m)).ravel()])
 
@@ -461,9 +450,10 @@ def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL):
     e0 = energy_at(sys, x0, p0)
 
     def checked(t, y):
-        # y, once its energy is within ENERGY_SLACK of the start's.
+        # y, once its energy is within ENERGY_SLACK of the start's; a
+        # non-finite energy never is.
         drift = abs(energy_at(sys, y[:n], y[n:m]) - e0)
-        if drift > ENERGY_SLACK * (1.0 + abs(e0)):
+        if not drift <= ENERGY_SLACK * (1.0 + abs(e0)):
             raise IntegrationError(
                 "energy drifted by %r at t=%r" % (drift, t), t_last=t)
         return y

@@ -144,7 +144,7 @@ def gram_from(geodesic, flag, times, complement=None):
     columns = []
     for result in fl._growth_profile(sys, xs[:len(aux)], ps[:len(aux)],
                                      len(expected)):
-        if isinstance(result, fl.FlagError):
+        if isinstance(result, Exception):
             failure = result
             break
         (ranks,), per_level = result
@@ -332,7 +332,7 @@ def riemannian_rho_field(sys):
 
     def field(x, p):
         v = fl.velocity_at(sys, x, p)
-        return float(np.dot(np.array(grad_fn(list(x)), dtype=float), v))
+        return float(np.dot(grad_fn(x), v))
 
     return field
 
@@ -346,17 +346,14 @@ def riemannian_divergence_check(sys, x0, p0):
     Gram-pipeline rho and the absolute gap."""
     if sys.rank != sys.dim:
         raise RhoError("the divergence check needs rank == dim")
-    x0 = np.asarray(x0, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
     T = fl.admissible_extension(sys, x0, p0, 1)
     detF = geo.frame_determinant(sys)
     # The metric volume of an orthonormal frame has density 1/|det F|;
     # the determinant's sign cancels inside the logarithmic derivative.
     div_mu = geo.divergence(T, sys.density)
     div_vol = geo.divergence(T, ex.Div(ex.Const(1.0), detF))
-    at = list(x0)
-    d_mu = ex.evaluate(div_mu, at)
-    d_vol = ex.evaluate(div_vol, at)
+    d_mu = ex.evaluate(div_mu, x0)
+    d_vol = ex.evaluate(div_vol, x0)
     value = rho(sys, x0, p0)
     return {
         "div_mu": d_mu,

@@ -81,6 +81,10 @@ def test_analyze_numerical_failure_exit(capsys):
          "--window", "1e-300,1e-299"],
         # the scaled field overflows at the start
         ["analyze", "heisenberg3", "--covector", "1e150,0,1"],
+        # the flag's squared velocity overflows, or its column norms do
+        ["analyze", "heisenberg3", "--covector", "1e200,0,1"],
+        ["analyze", "heisenberg3", "--covector", "1,0,1",
+         "--base", "1e200,0,0"],
     ]
     for argv in cases:
         assert run(argv) == 3, argv
@@ -262,7 +266,7 @@ def test_list_builtins_names(capsys):
 
 def test_sweep_statuses_in_input_order(tmp_path, capsys):
     covectors = ["1,0,1", "0,0,1", "1,0", "0.6,0.8,nan", "1e150,0,1",
-                 "0.6,0.8,1.1"]
+                 "0.6,0.8,1.1", "1e160,0,1", "1e200,0,1"]
     batch = tmp_path / "covs.txt"
     batch.write_text("".join(c + "\n" for c in covectors))
     rc = run(["sweep", "heisenberg3", str(batch)])
@@ -277,7 +281,7 @@ def test_sweep_statuses_in_input_order(tmp_path, capsys):
         assert alone == [lines[0], lines[i + 1]]
     assert lines[0].rstrip() == ("covector,growth,dimension,rho,C_fit,"
                                  "trR_fit,residual,status")
-    assert len(lines) == 7
+    assert len(lines) == 9
     first = lines[1].split(",")
     assert first[0] == '"1'  # quoted because the covector contains commas
     assert lines[1].rstrip().endswith("ok")
@@ -286,6 +290,10 @@ def test_sweep_statuses_in_input_order(tmp_path, capsys):
     assert "bad-input" in lines[4]
     assert ",integration-failure: " in lines[5]
     assert lines[6].rstrip().endswith("ok")
+    # the flag overflows: a failure with no growth vector, not non-ample
+    for line in lines[7:]:
+        assert ",,,,,,,degenerate: " in line
+        assert "non-ample" not in line
     ok_fields = lines[1].rsplit(",", 5)
     assert float(ok_fields[2]) == pytest.approx(1.0 / 12.0, rel=1e-3)
 

@@ -1,6 +1,7 @@
 """Expression layer: parsing, evaluation, differentiation, simplify."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,10 +86,14 @@ def test_simplify_folds_constants():
     assert ex.evaluate(node, [99.0, 5.0]) == 11.0
     # idempotent: a second pass changes nothing
     assert ex.simplify(node) == node
+    # calls of constants fold, except outside their domain
+    assert ex.simplify(ex.parse("exp(0)*x1 + log(1)", V2)) == ex.Var(0)
+    assert isinstance(ex.simplify(ex.parse("log(-1)", V2)), ex.Call)
 
 
 def test_simplify_preserves_value():
-    texts = ["x1*(x2 - x2) + x1", "x1^1 * x2^0", "(x1 + 0)/(1)"]
+    texts = ["x1*(x2 - x2) + x1", "x1^1 * x2^0", "(x1 + 0)/(1)",
+             "x1*x1^(-1)"]
     for text in texts:
         node = ex.parse(text, V2)
         simp = ex.simplify(node)
@@ -110,6 +115,19 @@ def test_compile_exprs_matches_evaluate():
         "cos(-x1)")]
     fn = ex.compile_exprs(nodes)
     for _ in range(5):
-        x = [float(v) for v in RNG.uniform(-2, 2, size=3)]
+        x = RNG.uniform(-2, 2, size=3)
         want = [ex.evaluate(n, x) for n in nodes]
-        assert np.allclose(fn(x), want, rtol=1e-14, atol=0)
+        # a list of floats and a 1-D array give the same float ndarray
+        for values in (x.tolist(), x):
+            got = fn(values)
+            assert isinstance(got, np.ndarray) and got.dtype == float
+            assert np.allclose(got, want, rtol=1e-14, atol=0)
+    # overflow, division by zero and a math-domain error give all-NaN
+    # output, with no exception and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text, x1 in (("x1^400", 10.0), ("1/x1", 0.0), ("log(x1)", -1.0)):
+            got = ex.compile_exprs(nodes + [ex.parse(text, V3)])(
+                [x1, 1.0, 1.0])
+            assert got.shape == (len(nodes) + 1,)
+            assert np.all(np.isnan(got)), text

@@ -19,7 +19,7 @@ def _field(texts, n):
 
 def _at(field, x):
     """The field's values at x, through the compiled evaluator."""
-    return np.array(ex.compile_exprs(field.components)(list(x)))
+    return ex.compile_exprs(field.components)(x)
 
 
 def test_vector_field_evaluation():

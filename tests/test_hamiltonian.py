@@ -178,6 +178,34 @@ def test_blowup_raises():
         ham.flow(sys, np.array([1.0]), np.zeros(1), 2.0)
 
 
+def test_energy_drift_raises_at_the_first_drifting_time():
+    sys = catalog.builtin("engel")
+    with pytest.raises(ham.IntegrationError,
+                       match=r"energy drifted by .* at t=1\.0") as err:
+        ham.transition_many(sys, np.zeros(4), (0.8, 0.6, 0.5, -0.4),
+                            [0.5, 1.0, 2.0], tol=1e-2)
+    assert err.value.t_last == 1.0
+
+
+def test_non_finite_energy_raises(monkeypatch):
+    # An energy that turns NaN along the flow is within no slack of the
+    # start's.
+    sys = catalog.builtin("heisenberg3")
+    p0 = np.array([0.7, -0.4, 0.9])
+    ham.energy_at(sys, np.zeros(3), p0)
+    energy = sys._cache["ham_fn"]
+    calls = []
+
+    def nan_after_first(values):
+        calls.append(values)
+        return energy(values) if len(calls) == 1 else np.full(1, np.nan)
+
+    monkeypatch.setitem(sys._cache, "ham_fn", nan_after_first)
+    with pytest.raises(ham.IntegrationError,
+                       match=r"energy drifted by nan at t=0\.5"):
+        ham.transition_many(sys, np.zeros(3), p0, [0.5])
+
+
 def test_controls_at():
     sys = catalog.builtin("heisenberg3")
     # the controls are row 0 of the control jet

@@ -1,10 +1,12 @@
 """The volume-dynamics invariant: Gram path, flow path, scaling laws."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from geoflow import asymptotics as asym
 from geoflow import catalog
 from geoflow import flag as fl
 from geoflow import geometry as geo
@@ -166,6 +168,21 @@ def test_gram_singular_level_raises_first_point():
         gram(good, late, early)
     with pytest.raises(rh.RhoError, match="level 1 Gram matrix"):
         gram(good, early, late)
+
+
+@pytest.mark.parametrize("stage", ["rho", "g_rel", "fit_expansion"])
+def test_growth_change_along_the_flow_raises(stage):
+    # The martinet flag pauses at the origin, (2, 2, 3), and closes at
+    # (2, 3) off it; the Gram pipeline compares no levels across profiles.
+    sys = catalog.martinet()
+    x0, p0 = np.zeros(3), np.array([1.0, 0.3, 0.2])
+    run = {"rho": lambda: rh.rho(sys, x0, p0),
+           "g_rel": lambda: rh.g_rel(sys, x0, p0, 0.1),
+           "fit_expansion": lambda: asym.fit_expansion(sys, x0, p0)}[stage]
+    with pytest.raises(rh.RhoError, match=re.escape(
+            "growth vector changed along the flow: (2, 3) versus"
+            " (2, 2, 3)")):
+        run()
 
 
 def test_scaling_checks_weighted():
