@@ -40,7 +40,7 @@ __all__ = [
     "FlagError", "NonFiniteError", "GeodesicFlag", "flag_at",
     "geodesic_dimension", "homogeneous_weight", "young_diagram",
     "leading_constant", "equiregular_times", "equiregular_from",
-    "admissible_extension", "poisson_taylor", "velocity_at",
+    "poisson_taylor",
 ]
 
 RANK_TOL = 1e-9
@@ -87,13 +87,6 @@ def poisson_taylor(sys, x, p, order):
     fn = sys.cached(("poisson_fn", order), lambda: ex.compile_exprs(
         [e for row in _poisson_exprs(sys, order) for e in row]))
     return fn(np.concatenate([x, p])).reshape(sys.rank, order + 1)
-
-
-def velocity_at(sys, x, p):
-    """gammadot = X_0(x) + sum_a u_a X_a(x), the controls u being row 0
-    of the control jet."""
-    u = poisson_taylor(sys, x, p, 0)[:, 0]
-    return sys.drift_at(x) + sys.frame_matrix(x) @ u
 
 
 # ----------------------------------------------------------------------
@@ -187,23 +180,6 @@ def _bracket_columns(sys, x, alpha, jet):
     return vals.reshape(sys.rank, sys.dim).T
 
 
-def admissible_extension(sys, x, p, order):
-    """The polynomial admissible extension around (x, p) to the given jet
-    order, as a plain vector field over the chart: sum_r s^r T_r with
-    s(x) = <alpha, x - x0> and the jet coefficients bound to their
-    values."""
-    x = np.asarray(x, dtype=float)
-    jet = poisson_taylor(sys, x, p, order)
-    alpha = _time_gradient(sys, x, sys.frame_matrix(x), jet[:, 0])
-    binding = {2 * sys.dim + i: float(c) for i, c in enumerate(jet.T.ravel())}
-    s = ex.Add(tuple(ex.Mul((ex.Const(a), ex.Add((ex.Var(q), ex.Const(-xq)))))
-                     for q, (a, xq) in enumerate(zip(alpha, x))))
-    Ts = [_extension_term(sys, r) for r in range(order + 1)]
-    return geo.VectorField(tuple(ex.simplify(ex.Add(tuple(
-        ex.Mul((ex.Pow(s, r), ex.substitute(T.components[q], binding)))
-        for r, T in enumerate(Ts)))) for q in range(sys.dim)))
-
-
 # ----------------------------------------------------------------------
 
 
@@ -221,7 +197,6 @@ class GeodesicFlag:
     young_rows: tuple
     leading: Fraction
     diagnostics: tuple
-    bracket_columns: tuple
 
 
 def _closed(ranks, dim):
@@ -344,7 +319,7 @@ def flag_at(sys, x, p):
     p = np.asarray(p, dtype=float)
     max_step = sys.dim + 2
     factors = (1.0, 0.1, 10.0)
-    [((raw, *alts), per_level)] = _first_failure_raised(
+    [((raw, *alts), _)] = _first_failure_raised(
         _growth_profile(sys, x[None], p[None], max_step, factors))
     diagnostics = [
         "growth vector is tolerance sensitive: %r at %g times the rank"
@@ -370,7 +345,6 @@ def flag_at(sys, x, p):
         young_rows=rows,
         leading=leading_constant(rows) if ample else Fraction(0),
         diagnostics=tuple(diagnostics),
-        bracket_columns=tuple(per_level),
     )
 
 

@@ -16,8 +16,7 @@ from . import expr as ex
 
 __all__ = [
     "GeometryError", "VectorField", "ControlSystem", "AuxFrame",
-    "lie_bracket", "aux_frame_at", "divergence",
-    "frame_determinant", "load_structure", "structure_from_dict",
+    "lie_bracket", "aux_frame_at", "load_structure", "structure_from_dict",
 ]
 
 
@@ -128,6 +127,9 @@ class ControlSystem:
         fn = self.cached("density_fn",
                          lambda: ex.compile_exprs([self.density]))
         value = fn(x)[0]
+        if not np.isfinite(value):
+            raise GeometryError("density is not finite at %s"
+                                % (np.asarray(x).tolist(),))
         if not value > 0.0:
             raise GeometryError("density is not positive at %s"
                                 % (np.asarray(x).tolist(),))
@@ -202,43 +204,6 @@ def aux_frame_at(sys, x, complement=None):
     zeta = 1.0 / (m * det0)
     Y[:, -1] = Y[:, -1] * zeta
     return AuxFrame(matrix=Y, complement=complement)
-
-
-def divergence(f, density=None):
-    """Divergence of a vector field, optionally against a density:
-    sum_i d_i f^i + (sum_i f^i d_i m)/m.
-
-    The density's sign cancels in the logarithmic derivative, so an
-    orientation-dependent determinant may be passed directly.
-    """
-    n = f.dim
-    terms = [ex.diff(f.components[i], i) for i in range(n)]
-    if density is not None:
-        grad = [ex.diff(density, i) for i in range(n)]
-        terms.extend(ex.Div(ex.Mul((f.components[i], grad[i])), density)
-                     for i in range(n))
-    return ex.simplify(ex.Add(tuple(terms)))
-
-
-def frame_determinant(sys):
-    """Symbolic determinant of the square frame matrix (rank == dim only);
-    cofactor expansion is fine at these sizes."""
-    if sys.rank != sys.dim:
-        raise GeometryError("frame determinant needs rank == dim")
-    rows = [[f.components[i] for f in sys.frame] for i in range(sys.dim)]
-
-    def det(rs):
-        if len(rs) == 1:
-            return rs[0][0]
-        total = []
-        for j in range(len(rs)):
-            minor = [r[:j] + r[j + 1:] for r in rs[1:]]
-            factors = (rs[0][j], det(minor))
-            total.append(ex.Mul(factors if j % 2 == 0
-                                else (ex.MINUS_ONE,) + factors))
-        return ex.Add(tuple(total))
-
-    return ex.simplify(det(rows))
 
 
 # ----------------------------------------------------------------------

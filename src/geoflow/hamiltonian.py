@@ -20,8 +20,8 @@ import numpy as np
 from . import expr as ex
 
 __all__ = [
-    "IntegrationError", "Geodesic", "hamiltonian", "flow", "transition",
-    "transition_many", "vertical_jacobian", "signed_log_det",
+    "IntegrationError", "Geodesic", "hamiltonian", "transition_many",
+    "vertical_jacobian", "signed_log_det",
 ]
 
 # Simulated relative accuracy for the adaptive integrator.
@@ -472,17 +472,6 @@ def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL):
             found[target] = checked(t, y)
     Y = np.array([found[t] for t in times]).reshape(len(times), m + m * m)
     return Y[:, :m], Y[:, m:].reshape(-1, m, m)
-
-
-def transition(sys, x0, p0, t):
-    """(x, p, M) at one time."""
-    Z, M = transition_many(sys, x0, p0, [t])
-    return Z[0, :sys.dim], Z[0, sys.dim:], M[0]
-
-
-def flow(sys, x0, p0, t):
-    """(x, p) at one time."""
-    return transition(sys, x0, p0, t)[:2]
 
 
 class Geodesic:

@@ -38,13 +38,11 @@ import numpy as np
 from . import flag as fl
 from . import geometry as geo
 from . import hamiltonian as ham
-from . import expr as ex
 
 __all__ = [
-    "RhoError", "gram_from", "g_rel", "rho_times", "rho_from", "rho",
+    "RhoError", "gram_from", "rho_times", "rho_from", "rho",
     "log_volume_ratios_from", "log_volume_ratios", "rho_flow_times",
-    "rho_flow_from", "rho_flow", "scaling_checks", "riemannian_rho_field",
-    "riemannian_divergence_check",
+    "rho_flow_from",
 ]
 
 # Step of the finite differences of G that give rho.
@@ -55,10 +53,6 @@ FD_STEP = 1e-3
 RHO_FLOW_WINDOW = (3e-2, 1.5e-1)
 RHO_FLOW_SAMPLES = 20
 RHO_FLOW_GRID = np.geomspace(*RHO_FLOW_WINDOW, RHO_FLOW_SAMPLES)
-
-# Times t at which scaling_checks compares G_{c lambda}(t) with
-# G_lambda(c t).
-SCALING_TIMES = (0.05, 0.1, 0.2)
 
 
 class RhoError(RuntimeError):
@@ -114,19 +108,19 @@ def _require_ample(flag):
         raise RhoError("the flag is not ample; rho is undefined here")
 
 
-def gram_from(geodesic, flag, times, complement=None):
+def gram_from(geodesic, flag, times):
     """G(tau) for every tau in times, read from the geodesic; `flag` is
     flag_at at the geodesic's base covector.
 
-    The auxiliary completion is chosen once at the base point (or given)
-    and kept along the trajectory, and the growth vector must stay that
-    of the base covector.  Each point must pass its checks (completion,
+    The auxiliary completion is chosen once at the base point and kept
+    along the trajectory, and the growth vector must stay that of the
+    base covector.  Each point must pass its checks (completion,
     rank profile, Gram determinants) and the first failing point in the
     order visited raises; the rank profiles and Gram determinants of all
     points are computed as stacks."""
     _require_ample(flag)
     sys = geodesic.sys
-    comp = geo.aux_frame_at(sys, geodesic.x0, complement).complement
+    comp = geo.aux_frame_at(sys, geodesic.x0).complement
     expected = tuple(flag.raw_ranks)
     distinct = list({float(t) for t in times})
     xs, ps, _ = geodesic.at(distinct)
@@ -163,19 +157,6 @@ def gram_from(geodesic, flag, times, complement=None):
     return [values[float(t)] for t in times]
 
 
-def g_rel(sys, x0, p0, t):
-    """G(t) - G(0): the running integral of rho along the trajectory."""
-    flag = fl.flag_at(sys, x0, p0)
-    _require_ample(flag)
-    scalar = np.isscalar(t)
-    ts = [float(t)] if scalar else [float(v) for v in t]
-    geodesic = ham.Geodesic(sys, x0, p0, ts)
-    vals = gram_from(geodesic, flag, ts + [0.0])
-    base = vals[-1]
-    out = [v - base for v in vals[:-1]]
-    return out[0] if scalar else np.array(out)
-
-
 def rho_times(times):
     """The trajectory times rho_from reads: four finite-difference nodes
     around each requested time."""
@@ -186,13 +167,13 @@ def rho_times(times):
     return needed
 
 
-def rho_from(geodesic, flag, times, complement=None):
+def rho_from(geodesic, flag, times):
     """rho at the flowed covectors lambda(s), s in times, read from the
     geodesic: Richardson extrapolated central differences of G.  Every
     value is a finite difference of the single function G, four G
     evaluations per node."""
     h = FD_STEP
-    vals = gram_from(geodesic, flag, rho_times(times), complement)
+    vals = gram_from(geodesic, flag, rho_times(times))
     out = []
     for i in range(len(times)):
         gm, gm2, gp2, gp = vals[4 * i: 4 * i + 4]
@@ -202,13 +183,13 @@ def rho_from(geodesic, flag, times, complement=None):
     return np.array(out)
 
 
-def rho(sys, x0, p0, complement=None):
+def rho(sys, x0, p0):
     """The invariant rho at one covector: dG/dtau at 0, by Richardson
     extrapolated central differences along the flow."""
     flag = fl.flag_at(sys, x0, p0)
     _require_ample(flag)
     geodesic = ham.Geodesic(sys, x0, p0, rho_times([0.0]))
-    return rho_from(geodesic, flag, [0.0], complement)[0]
+    return rho_from(geodesic, flag, [0.0])[0]
 
 
 def log_volume_ratios_from(geodesic, times):
@@ -263,102 +244,3 @@ def rho_flow_from(geodesic, dimension):
             "volume-flow fit residual %.3g exceeds 1e-4; the expansion"
             " window is unusable at this covector" % resid)
     return float(coef[0] / t_hi)
-
-
-def rho_flow(sys, x0, p0, dimension=None):
-    """rho_flow_from on a geodesic integrated for its times alone; the
-    dimension defaults to that of the flag at (x0, p0)."""
-    if dimension is None:
-        dimension = fl.flag_at(sys, x0, p0).dimension
-    geodesic = ham.Geodesic(sys, x0, p0, rho_flow_times())
-    return rho_flow_from(geodesic, dimension)
-
-
-def scaling_checks(sys, x0, p0, factors):
-    """Homogeneity of rho and of the running integral under covector
-    scaling, valid when the structure has no drift and no potential:
-    rho(c lambda) = c rho(lambda) and G_{c lambda}(t) = G_lambda(c t) up
-    to the additive normalization, at each t of SCALING_TIMES.
-
-    Returns a dict of worst relative and absolute discrepancies."""
-    x0 = np.asarray(x0, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    for comp in list(sys.X0.components) + [sys.Q]:
-        if ex.simplify(comp) != ex.ZERO:
-            raise RhoError(
-                "scaling checks need a structure with no drift and no"
-                " potential")
-
-    def rho_and_g(p, ts):
-        # One flag and one geodesic per covector: rho at it and
-        # G(t) - G(0) at each of ts.
-        flag = fl.flag_at(sys, x0, p)
-        _require_ample(flag)
-        geodesic = ham.Geodesic(sys, x0, p, rho_times([0.0]) + ts)
-        g0, *g = gram_from(geodesic, flag, [0.0] + ts)
-        return rho_from(geodesic, flag, [0.0])[0], np.array(g) - g0
-
-    t_probe = list(SCALING_TIMES)
-    base_rho, g_base = rho_and_g(
-        p0, [c * t for c in factors for t in t_probe])
-    worst_rho = 0.0
-    worst_g = 0.0
-    for c, g_c in zip(factors, g_base.reshape(len(factors), len(t_probe))):
-        scaled, g_scaled = rho_and_g(c * p0, t_probe)
-        # Relative where rho is of visible size, absolute where it
-        # vanishes (both sides then agree near machine level anyway).
-        denom = max(abs(c * base_rho), 1e-6)
-        worst_rho = max(worst_rho, abs(scaled - c * base_rho) / denom)
-        worst_g = max(worst_g, float(np.max(np.abs(g_scaled - g_c))))
-    return {"rho_rel": worst_rho, "g_abs": worst_g, "rho_base": base_rho}
-
-
-def riemannian_rho_field(sys):
-    """For a full-rank frame, rho is the directional derivative of
-    log(density * det frame) along the velocity; returns a function of
-    (x, p) evaluating that formula symbolically.  An independent check of
-    the Gram pipeline in the full-rank case."""
-    if sys.rank != sys.dim:
-        raise RhoError("the closed form needs rank == dim")
-    detF = geo.frame_determinant(sys)
-    n = sys.dim
-    log_terms = []
-    for i in range(n):
-        num = ex.Add((ex.Mul((ex.diff(sys.density, i), detF)),
-                      ex.Mul((sys.density, ex.diff(detF, i)))))
-        den = ex.Mul((sys.density, detF))
-        log_terms.append(ex.simplify(ex.Div(num, den)))
-    grad_fn = ex.compile_exprs(log_terms)
-
-    def field(x, p):
-        v = fl.velocity_at(sys, x, p)
-        return float(np.dot(grad_fn(x), v))
-
-    return field
-
-
-def riemannian_divergence_check(sys, x0, p0):
-    """Full-rank cross-check: the difference between the divergence of an
-    admissible extension against the declared density and against the
-    metric volume of the orthonormal frame equals rho at the base point.
-
-    Returns a report dict with both divergences, their difference, the
-    Gram-pipeline rho and the absolute gap."""
-    if sys.rank != sys.dim:
-        raise RhoError("the divergence check needs rank == dim")
-    T = fl.admissible_extension(sys, x0, p0, 1)
-    detF = geo.frame_determinant(sys)
-    # The metric volume of an orthonormal frame has density 1/|det F|;
-    # the determinant's sign cancels inside the logarithmic derivative.
-    div_mu = geo.divergence(T, sys.density)
-    div_vol = geo.divergence(T, ex.Div(ex.Const(1.0), detF))
-    d_mu = ex.evaluate(div_mu, x0)
-    d_vol = ex.evaluate(div_vol, x0)
-    value = rho(sys, x0, p0)
-    return {
-        "div_mu": d_mu,
-        "div_vol": d_vol,
-        "difference": d_mu - d_vol,
-        "rho": value,
-        "gap": abs(d_mu - d_vol - value),
-    }

@@ -14,7 +14,8 @@ import geoflow.exact as exact
 import geoflow.flag as fl
 import geoflow.geometry as geo
 import geoflow.hamiltonian as ham
-import geoflow.rho as rh
+
+import oracles
 
 WEIGHTED_E3 = {
     "name": "weighted-r3", "dim": 3, "rank": 3,
@@ -56,7 +57,7 @@ def test_rho_integral_is_the_exact_gram_difference():
     engel = cat.builtin("engel")
     p0 = np.array([0.8, 0.6, 0.5, -0.4])
     fit = asym.fit_expansion(engel, np.zeros(4), p0)
-    g = rh.g_rel(engel, np.zeros(4), p0, list(fit.times))
+    g = oracles.g_rel(engel, np.zeros(4), p0, list(fit.times))
     assert np.allclose(fit.rho_integrals, g, rtol=0.0, atol=1e-12)
     # constant rho = grad(psi) . p on the weighted flat space
     sys = geo.structure_from_dict(WEIGHTED_E3)

@@ -184,6 +184,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run(["analyze", "--file", str(path), "--covector", "1,0"]) == 1
     assert capsys.readouterr().err == ("error: density is not positive at"
                                        " [0.0, 0.0]\n")
+    # a density that overflows at the base point is not finite there
+    path = tmp_path / "overflowing-density.json"
+    path.write_text(json.dumps(dict(flat2, density="exp(x1)")))
+    assert run(["analyze", "--file", str(path), "--covector", "1,0",
+                "--base", "1000,0"]) == 1
+    assert capsys.readouterr().err == ("error: density is not finite at"
+                                       " [1000.0, 0.0]\n")
 
 
 def test_main_reuses_one_parser(capsys):

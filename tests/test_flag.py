@@ -11,6 +11,8 @@ from geoflow import flag as fl
 from geoflow import geometry as geo
 from geoflow import hamiltonian as ham
 
+import oracles
+
 
 RNG = np.random.default_rng(7)
 
@@ -159,14 +161,17 @@ def test_tolerance_sensitive_growth_is_diagnosed():
     assert f.diagnostics == (
         "growth vector is tolerance sensitive: (2, 2, 2) at 10 times the"
         " rank tolerance",)
-    f = fl.flag_at(_nearly_contact(3e-10), np.zeros(3), p0)
+    sys = _nearly_contact(3e-10)
+    f = fl.flag_at(sys, np.zeros(3), p0)
     assert f.growth == (2, 2)
     assert not f.ample
     assert f.diagnostics == (
         "growth vector is tolerance sensitive: (2, 3) at 0.1 times the"
         " rank tolerance",)
     # the bracket columns are those of the reported (1x) profile
-    assert len(f.bracket_columns) == len(f.raw_ranks)
+    [(_, columns)] = fl._growth_profile(sys, np.zeros(3)[None], p0[None],
+                                        sys.dim + 2, (1.0, 0.1, 10.0))
+    assert len(columns) == len(f.raw_ranks)
 
 
 def test_monotone_increments_on_builtins():
@@ -228,7 +233,7 @@ def test_poisson_taylor_matches_flow_derivatives():
     def controls(x, p):
         return fl.poisson_taylor(sys, x, p, 0)[:, 0]
 
-    u = {dt: controls(*ham.flow(sys, x0, p0, dt))
+    u = {dt: controls(*oracles.flow(sys, x0, p0, dt))
          for dt in (-2 * h, -h, h, 2 * h)}
     u0 = controls(x0, p0)
     du = (u[h] - u[-h]) / (2 * h)
@@ -294,9 +299,16 @@ def test_hamiltonian_is_differentiated_once_per_phase_coordinate(
     assert sorted(calls) == list(range(2 * sys.dim))
 
 
+def test_controls_are_row_zero_of_the_control_jet():
+    sys = catalog.builtin("heisenberg3")
+    p0 = np.array([0.3, -0.5, 2.0])
+    u = fl.poisson_taylor(sys, np.zeros(3), p0, 0)[:, 0]
+    assert np.allclose(u, [0.3, -0.5])
+
+
 def test_velocity_at():
     sys = catalog.builtin("heisenberg3")
-    v = fl.velocity_at(sys, np.zeros(3), np.array([0.3, -0.7, 5.0]))
+    v = oracles.velocity_at(sys, np.zeros(3), np.array([0.3, -0.7, 5.0]))
     assert np.allclose(v, [0.3, -0.7, 0.0], atol=1e-14)
 
 
@@ -304,10 +316,10 @@ def test_extension_reproduces_velocity_along_curve():
     sys = catalog.builtin("engel")
     x0 = np.zeros(4)
     p0 = np.array([0.8, 0.6, 0.5, -0.4])
-    T = fl.admissible_extension(sys, x0, p0, 4)
+    T = oracles.admissible_extension(sys, x0, p0, 4)
     for t in (0.0, 0.02, 0.05):
-        x, p = ham.flow(sys, x0, p0, t)
-        want = fl.velocity_at(sys, x, p)
+        x, p = oracles.flow(sys, x0, p0, t)
+        want = oracles.velocity_at(sys, x, p)
         got = ex.compile_exprs(T.components)(x)
         assert np.allclose(got, want, atol=1e-6)
 
@@ -328,7 +340,7 @@ def test_bracket_columns_match_brackets_of_the_extension(name):
             got = fl._bracket_columns(sys, x, alpha,
                                       fl.poisson_taylor(sys, x, p, j))
             for order in (j, j + 2):
-                T = fl.admissible_extension(sys, x, p, order)
+                T = oracles.admissible_extension(sys, x, p, order)
                 fields = sys.frame
                 for _ in range(j):
                     fields = [geo.lie_bracket(T, W) for W in fields]

@@ -13,6 +13,8 @@ from geoflow import geometry as geo
 from geoflow import hamiltonian as ham
 from geoflow import rho as rh
 
+import oracles
+
 
 RNG = np.random.default_rng(23)
 
@@ -30,7 +32,7 @@ def test_euclidean_rho_vanishes():
     for _ in range(3):
         p0 = RNG.uniform(-1, 1, size=3)
         assert abs(rh.rho(sys, np.zeros(3), p0)) < 1e-10
-        assert abs(rh.rho_flow(sys, np.zeros(3), p0)) < 1e-8
+        assert abs(oracles.rho_flow(sys, np.zeros(3), p0)) < 1e-8
 
 
 def test_weighted_euclidean_rho_is_gradient_pairing():
@@ -39,12 +41,12 @@ def test_weighted_euclidean_rho_is_gradient_pairing():
         want = float(WE3_GRAD @ p0)   # identity frame: velocity = p
         assert rh.rho(WE3, np.zeros(3), p0) == pytest.approx(want,
                                                              abs=1e-8)
-        assert rh.rho_flow(WE3, np.zeros(3), p0) == pytest.approx(want,
+        assert oracles.rho_flow(WE3, np.zeros(3), p0) == pytest.approx(want,
                                                                   abs=1e-6)
 
 
 def test_weighted_euclidean_closed_field():
-    field = rh.riemannian_rho_field(WE3)
+    field = oracles.riemannian_rho_field(WE3)
     for _ in range(4):
         x = RNG.uniform(-1, 1, size=3)
         p = RNG.uniform(-1, 1, size=3)
@@ -54,7 +56,7 @@ def test_weighted_euclidean_closed_field():
 
 def test_closed_field_rejects_low_rank():
     with pytest.raises(rh.RhoError):
-        rh.riemannian_rho_field(catalog.builtin("heisenberg3"))
+        oracles.riemannian_rho_field(catalog.builtin("heisenberg3"))
 
 
 def test_contact_rho_vanishes():
@@ -76,7 +78,7 @@ def test_two_paths_agree_on_engel():
     for _ in range(4):
         p0 = catalog.sample_covector("engel", RNG)
         a = rh.rho(sys, np.zeros(4), p0)
-        b = rh.rho_flow(sys, np.zeros(4), p0)
+        b = oracles.rho_flow(sys, np.zeros(4), p0)
         assert abs(a - b) <= 1e-5
 
 
@@ -96,28 +98,34 @@ def test_rho_from_shapes():
     assert vec[1] == pytest.approx(single[0], abs=1e-12)
 
 
-def test_complement_independence():
+def _choose_complement(monkeypatch, comp):
+    # The completion gram_from picks at the base point and keeps.
+    monkeypatch.setattr(geo, "_greedy_complement", lambda F, n, k: comp)
+
+
+def test_complement_independence(monkeypatch):
     # rho is a quotient-space quantity; the complement choice cancels
     sys = catalog.builtin("engel")
     p0 = np.array([0.8, 0.6, 0.5, -0.4])
     base = rh.rho(sys, np.zeros(4), p0)
     for comp in [(2, 3), (3, 2)]:
-        alt = rh.rho(sys, np.zeros(4), p0, complement=comp)
+        _choose_complement(monkeypatch, comp)
+        alt = rh.rho(sys, np.zeros(4), p0)
         assert alt == pytest.approx(base, abs=1e-7)
 
 
-def test_degenerate_complement_raises():
+def test_degenerate_complement_raises(monkeypatch):
     # index 0 duplicates the first frame direction at the origin
     sys = catalog.builtin("heisenberg3")
+    _choose_complement(monkeypatch, (0,))
     with pytest.raises(geo.GeometryError):
-        rh.rho(sys, np.zeros(3), np.array([1.0, 0.0, 1.0]),
-               complement=(0,))
+        rh.rho(sys, np.zeros(3), np.array([1.0, 0.0, 1.0]))
 
 
 def test_g_rel_linear_for_constant_rho():
     p0 = np.array([1.0, 0.0, 0.0])
     ts = np.array([0.05, 0.1, 0.2, 0.3])
-    g = rh.g_rel(WE3, np.zeros(3), p0, list(ts))
+    g = oracles.g_rel(WE3, np.zeros(3), p0, list(ts))
     assert np.allclose(g, 0.3 * ts, atol=1e-9)
 
 
@@ -126,7 +134,7 @@ def test_g_rel_consistent_with_rho_from():
     sys = catalog.builtin("engel")
     p0 = np.array([0.8, 0.6, 0.5, -0.4])
     t, h = 0.1, 1e-3
-    g = rh.g_rel(sys, np.zeros(4), p0, [t - h, t + h])
+    g = oracles.g_rel(sys, np.zeros(4), p0, [t - h, t + h])
     slope = (g[1] - g[0]) / (2 * h)
     spot = _rho_from(sys, np.zeros(4), p0, [t])[0]
     assert slope == pytest.approx(spot, abs=1e-7)
@@ -134,12 +142,14 @@ def test_g_rel_consistent_with_rho_from():
 
 def test_gram_dets_positive_and_unimodular():
     sys = catalog.builtin("heisenberg3")
-    flag = fl.flag_at(sys, np.zeros(3), np.array([1.0, 0.0, 1.0]))
+    p0 = np.array([1.0, 0.0, 1.0])
+    flag = fl.flag_at(sys, np.zeros(3), p0)
+    [(_, columns)] = fl._growth_profile(sys, np.zeros(3)[None], p0[None],
+                                        sys.dim + 2)
     aux = geo.aux_frame_at(sys, np.zeros(3))
     # a stack of one point
     (logs,) = rh._gram_log_of_levels(
-        aux.matrix[None], flag.raw_ranks,
-        [C[None] for C in flag.bracket_columns])
+        aux.matrix[None], flag.raw_ranks, [C[None] for C in columns])
     dets = [math.exp(v) for v in logs]
     assert len(dets) == 2
     assert all(d > 0 for d in dets)
@@ -177,7 +187,7 @@ def test_growth_change_along_the_flow_raises(stage):
     sys = catalog.martinet()
     x0, p0 = np.zeros(3), np.array([1.0, 0.3, 0.2])
     run = {"rho": lambda: rh.rho(sys, x0, p0),
-           "g_rel": lambda: rh.g_rel(sys, x0, p0, 0.1),
+           "g_rel": lambda: oracles.g_rel(sys, x0, p0, 0.1),
            "fit_expansion": lambda: asym.fit_expansion(sys, x0, p0)}[stage]
     with pytest.raises(rh.RhoError, match=re.escape(
             "growth vector changed along the flow: (2, 3) versus"
@@ -187,7 +197,7 @@ def test_growth_change_along_the_flow_raises(stage):
 
 def test_scaling_checks_weighted():
     p0 = np.array([0.6, -0.8, 0.2])
-    out = rh.scaling_checks(WE3, np.zeros(3), p0, [0.5, 2.0, 3.0])
+    out = oracles.scaling_checks(WE3, np.zeros(3), p0, [0.5, 2.0, 3.0])
     assert out["rho_rel"] <= 1e-6
     assert out["g_abs"] <= 1e-5
     assert out["rho_base"] == pytest.approx(float(WE3_GRAD @ p0), abs=1e-8)
@@ -199,20 +209,20 @@ def test_scaling_checks_reject_a_potential_that_vanishes_at_a_point():
     sys = catalog.with_overrides(catalog.builtin("heisenberg3"),
                                  potential="x1 - 0.1")
     with pytest.raises(rh.RhoError, match="no drift and no potential"):
-        rh.scaling_checks(sys, np.zeros(3), np.array([0.6, 0.8, 1.1]),
+        oracles.scaling_checks(sys, np.zeros(3), np.array([0.6, 0.8, 1.1]),
                           [0.5, 2.0, 3.0])
 
 
 def test_scaling_checks_contact():
     sys = catalog.builtin("heisenberg5:1,2")
     p0 = np.array([0.5, -0.4, 0.6, 0.3, 1.1])
-    out = rh.scaling_checks(sys, np.zeros(5), p0, [0.5, 2.0, 3.0])
+    out = oracles.scaling_checks(sys, np.zeros(5), p0, [0.5, 2.0, 3.0])
     assert out["rho_rel"] <= 1e-6
     assert out["g_abs"] <= 1e-5
 
 
 def test_divergence_check_weighted():
-    chk = rh.riemannian_divergence_check(WE3, np.zeros(3),
+    chk = oracles.riemannian_divergence_check(WE3, np.zeros(3),
                                          np.array([0.6, -0.8, 0.2]))
     assert chk["gap"] == pytest.approx(0.0, abs=1e-9)
     assert chk["div_vol"] == pytest.approx(0.0, abs=1e-9)
@@ -222,7 +232,7 @@ def test_divergence_check_weighted():
 
 def test_divergence_check_sphere():
     sys = catalog.builtin("sphere2")
-    chk = rh.riemannian_divergence_check(sys, np.array([1.0, 0.0]),
+    chk = oracles.riemannian_divergence_check(sys, np.array([1.0, 0.0]),
                                          np.array([0.0, 2.0]))
     assert chk["gap"] == pytest.approx(0.0, abs=1e-8)
     assert chk["rho"] == pytest.approx(0.0, abs=1e-8)
@@ -250,7 +260,7 @@ def test_non_ample_covector_rejected_before_integrating(monkeypatch):
     with pytest.raises(rh.RhoError, match="the flag is not ample"):
         rh.rho(sys, np.zeros(4), p0)
     with pytest.raises(rh.RhoError, match="the flag is not ample"):
-        rh.g_rel(sys, np.zeros(4), p0, [0.1])
+        oracles.g_rel(sys, np.zeros(4), p0, [0.1])
     assert calls == []
 
 
@@ -269,7 +279,7 @@ def test_scaling_checks_one_flag_and_geodesic_per_covector(monkeypatch):
     monkeypatch.setattr(fl, "flag_at", counted_flag)
     monkeypatch.setattr(ham, "transition_many", counted_transitions)
     sys = catalog.builtin("heisenberg3")
-    rh.scaling_checks(sys, np.zeros(3), np.array([0.6, 0.8, 1.1]),
+    oracles.scaling_checks(sys, np.zeros(3), np.array([0.6, 0.8, 1.1]),
                       [0.5, 2.0, 3.0])
     # the base covector and its three multiples
     assert len(flags) == 4

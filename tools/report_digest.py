@@ -48,6 +48,9 @@ VANISHING_DENSITY = {"dim": 2, "rank": 2, "X0": ["0", "0"],
                      "frame": [["1", "0"], ["0", "1"]], "Q": "0",
                      "density": "x1"}
 
+# A density that overflows far from the origin.
+OVERFLOWING_DENSITY = dict(VANISHING_DENSITY, density="exp(x1)")
+
 SWEEPS = {
     "heisenberg3": ["1,0,1", "0,0,1", "1,0", "0.6,0.8,nan", "0.6,0.8,1.1",
                     "1e150,0,1", "1e200,0,1", "-0.3,0.9,-0.7"],
@@ -69,7 +72,8 @@ def commands(tmp):
         for _ in range(4):
             p = catalog.sample_covector(name, rng)
             out.append(["analyze", name, "--covector=" + _covector_text(p)])
-    files = {"martinet": MARTINET, "vanishing-density": VANISHING_DENSITY}
+    files = {"martinet": MARTINET, "vanishing-density": VANISHING_DENSITY,
+             "overflowing-density": OVERFLOWING_DENSITY}
     for stem, data in files.items():
         (tmp / (stem + ".json")).write_text(json.dumps(data))
     for name, rows in SWEEPS.items():
@@ -110,6 +114,8 @@ def commands(tmp):
         ["analyze", "heisenberg3", "--covector", "1e200,0,1"],
         ["analyze", "--file", str(tmp / "vanishing-density.json"),
          "--covector", "1,0"],
+        ["analyze", "--file", str(tmp / "overflowing-density.json"),
+         "--covector", "1,0", "--base", "1000,0"],
         ["analyze", "euclidean:2", "--covector", "1,0,0"],
         ["analyze", "nosuchspace", "--covector", "1"],
     ]
