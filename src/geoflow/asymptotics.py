@@ -47,6 +47,11 @@ __all__ = [
     "exponent_probe", "ricci_oracle", "fit_report", "write_fit_csv",
 ]
 
+# The expansion fit samples FIT_SAMPLES times on a geometric grid over
+# FIT_WINDOW unless told otherwise.
+FIT_WINDOW = (1e-2, 2e-1)
+FIT_SAMPLES = 24
+
 # Largest accepted norm of the fit residual.
 FIT_RESIDUAL_TOL = 1e-3
 
@@ -85,7 +90,7 @@ class ExpansionFit:
         return math.exp(self.log_constant)
 
 
-def fit_times(window=(1e-2, 2e-1), samples=24):
+def fit_times(window=FIT_WINDOW, samples=FIT_SAMPLES):
     """The trajectory times fit_expansion_from reads: a geometric grid on
     the window."""
     t_lo, t_hi = float(window[0]), float(window[1])
@@ -102,10 +107,12 @@ def _require_ample(flag):
                                " exponent is undefined here")
 
 
-def fit_expansion_from(geodesic, flag, window=(1e-2, 2e-1), samples=24):
+def fit_expansion_from(geodesic, flag, gram, window=FIT_WINDOW,
+                       samples=FIT_SAMPLES):
     """Fit h(t) = log r(t) - N log t - int_0^t rho - offset by least
     squares against 1, t^2, t^3 on a geometric grid, reading the geodesic;
-    `flag` is flag_at at the geodesic's base covector.
+    `flag` is flag_at at the geodesic's base covector and `gram` the map
+    rho.gram_from returns for them over at least 0 and fit_times.
 
     rho is dG/dtau along this very trajectory, so the running integral is
     the exact difference G(t) - G(0) at each sample time, and the offset
@@ -113,14 +120,13 @@ def fit_expansion_from(geodesic, flag, window=(1e-2, 2e-1), samples=24):
     log C (directly comparable with the exact Young diagram constant),
     the quadratic coefficient times -6 is the curvature trace, and the
     cubic term only absorbs the next order of the remainder."""
-    _require_ample(flag)
     sys, x0 = geodesic.sys, geodesic.x0
     ts = np.array(fit_times(window, samples))
     t_lo, t_hi = float(window[0]), float(window[1])
     dimension = flag.dimension
 
-    g0, *g = rh.gram_from(geodesic, flag, [0.0] + list(ts))
-    integrals = np.array(g) - g0
+    g0 = gram[0.0]
+    integrals = np.array([gram[float(t)] for t in ts]) - g0
     offset = 2.0 * g0 - 2.0 * math.log(sys.density_at(x0))
     log_r = rh.log_volume_ratios_from(geodesic, ts)
     h = log_r - dimension * np.log(ts) - integrals - offset
@@ -159,14 +165,16 @@ def fit_expansion_from(geodesic, flag, window=(1e-2, 2e-1), samples=24):
     )
 
 
-def fit_expansion(sys, x0, p0, window=(1e-2, 2e-1), samples=24,
+def fit_expansion(sys, x0, p0, window=FIT_WINDOW, samples=FIT_SAMPLES,
                   tol=ham.DEFAULT_TOL):
     """fit_expansion_from on a geodesic integrated for its times alone.
     A non-ample covector is rejected before anything is integrated."""
     flag = fl.flag_at(sys, x0, p0)
     _require_ample(flag)
-    geodesic = ham.Geodesic(sys, x0, p0, fit_times(window, samples), tol)
-    return fit_expansion_from(geodesic, flag, window, samples)
+    times = [0.0] + fit_times(window, samples)
+    geodesic = ham.Geodesic(sys, x0, p0, times, tol)
+    gram = rh.gram_from(geodesic, flag, times)
+    return fit_expansion_from(geodesic, flag, gram, window, samples)
 
 
 def exponent_probe_times():

@@ -173,9 +173,10 @@ def _flag_section(flag):
     }
 
 
-def analyze_report(system, x0, p0, window=(1e-2, 2e-1), samples=24,
-                   tol=ham.DEFAULT_TOL, constant_tol=1e-3,
-                   rho_gap_tol=1e-5, ricci_tol=1e-2, fit=True):
+def analyze_report(system, x0, p0, window=asym.FIT_WINDOW,
+                   samples=asym.FIT_SAMPLES, tol=ham.DEFAULT_TOL,
+                   constant_tol=1e-3, rho_gap_tol=1e-5, ricci_tol=1e-2,
+                   fit=True):
     """Run the full pipeline at one covector and emit a JSON-ready report
     plus the exit code the analysis maps to."""
     report = {
@@ -187,14 +188,16 @@ def analyze_report(system, x0, p0, window=(1e-2, 2e-1), samples=24,
         # The base flag comes first, so a stationary covector is rejected
         # before anything is integrated and a non-ample one is integrated
         # only for its growth along the flow.  One geodesic serves every
-        # stage: collect the times each one reads.
+        # stage, and one Gram pass serves rho and the fit: collect the
+        # times each one reads.
         flag = fl.flag_at(system, x0, p0)
         times = fl.equiregular_times(window[1])
         if flag.ample:
-            times += rh.rho_times([0.0]) + rh.rho_flow_times()
+            gram_times = rh.rho_times()
             if fit:
-                times += (asym.fit_times(window, samples)
-                          + asym.exponent_probe_times())
+                gram_times += [0.0] + asym.fit_times(window, samples)
+                times += asym.exponent_probe_times()
+            times += gram_times + rh.rho_flow_times()
         geodesic = ham.Geodesic(system, x0, p0, times, tol)
         verdict, growths = fl.equiregular_from(geodesic, flag, window[1])
     except fl.FlagError as err:
@@ -208,7 +211,8 @@ def analyze_report(system, x0, p0, window=(1e-2, 2e-1), samples=24,
                             else "growth vector changes along the flow")
         return report, EXIT_DEGENERATE
 
-    rho_gram = float(rh.rho_from(geodesic, flag, [0.0])[0])
+    gram = rh.gram_from(geodesic, flag, gram_times)
+    rho_gram = rh.rho_from(gram)
     rho_from_flow = rh.rho_flow_from(geodesic, dimension=flag.dimension)
     rho_gap = abs(rho_gram - rho_from_flow)
     report["rho"] = {"gram": rho_gram, "flow": rho_from_flow,
@@ -216,7 +220,7 @@ def analyze_report(system, x0, p0, window=(1e-2, 2e-1), samples=24,
     checks = {"rho_two_path": rho_gap <= rho_gap_tol}
 
     if fit:
-        fitted = asym.fit_expansion_from(geodesic, flag, window=window,
+        fitted = asym.fit_expansion_from(geodesic, flag, gram, window=window,
                                          samples=samples)
         report["fit"] = asym.fit_report(fitted)
         c_exact = float(flag.leading)
@@ -273,10 +277,11 @@ def _sweep_row(system, x0, line, window, samples, tol):
             row["status"] = "non-ample"
             return row
         row["dimension"] = str(flag.dimension)
-        times = rh.rho_times([0.0]) + asym.fit_times(window, samples)
+        times = rh.rho_times() + [0.0] + asym.fit_times(window, samples)
         geodesic = ham.Geodesic(system, x0, p0, times, tol)
-        row["rho"] = repr(float(rh.rho_from(geodesic, flag, [0.0])[0]))
-        fitted = asym.fit_expansion_from(geodesic, flag, window=window,
+        gram = rh.gram_from(geodesic, flag, times)
+        row["rho"] = repr(rh.rho_from(gram))
+        fitted = asym.fit_expansion_from(geodesic, flag, gram, window=window,
                                          samples=samples)
         row["C_fit"] = repr(float(fitted.constant))
         row["trR_fit"] = repr(float(fitted.trace_r))
@@ -312,9 +317,21 @@ def cmd_expansion(args):
     system = _resolve_system(args)
     x0 = _resolve_base(args, system)
     p0 = _resolve_covector(args, system)
-    fitted = asym.fit_expansion(system, x0, p0,
-                                window=args.window, samples=args.samples,
-                                tol=args.tol)
+    # The base flag comes first, as in analyze_report: a degenerate
+    # covector exits 2 before anything is integrated or written.
+    try:
+        flag = fl.flag_at(system, x0, p0)
+    except fl.FlagError as err:
+        _sys.stderr.write("degenerate covector: %s\n" % err)
+        return EXIT_DEGENERATE
+    if not flag.ample:
+        _sys.stderr.write("non-ample covector\n")
+        return EXIT_DEGENERATE
+    times = [0.0] + asym.fit_times(args.window, args.samples)
+    geodesic = ham.Geodesic(system, x0, p0, times, args.tol)
+    fitted = asym.fit_expansion_from(geodesic, flag,
+                                     rh.gram_from(geodesic, flag, times),
+                                     window=args.window, samples=args.samples)
     stream = _out_stream(args)
     asym.write_fit_csv(fitted, stream)
     if stream is not _sys.stdout:
@@ -417,9 +434,10 @@ def _add_common(parser, covector=True):
     parser.add_argument("--potential", help="override potential expression")
     parser.add_argument("--tol", type=_tol_arg, default=ham.DEFAULT_TOL,
                         help="integrator tolerance")
-    parser.add_argument("--window", type=_window_arg, default=(1e-2, 2e-1),
+    parser.add_argument("--window", type=_window_arg, default=asym.FIT_WINDOW,
                         help="fit window as lo,hi")
-    parser.add_argument("--samples", type=_samples_arg, default=24,
+    parser.add_argument("--samples", type=_samples_arg,
+                        default=asym.FIT_SAMPLES,
                         help="fit sample count")
     parser.add_argument("--out", help="write output to this path instead"
                                       " of stdout")

@@ -18,8 +18,9 @@ exact difference G(t) - G(0).
 Every stage reads a hamiltonian.Geodesic: `*_times` gives the trajectory
 times a stage needs and `*_from` computes it from a geodesic that holds
 them and, where it needs one, the flag at the base covector, so a caller
-running several stages integrates once and builds one flag.  The
-(sys, x0, p0) entry points build both for their own times.
+running several stages integrates once and builds one flag.  rho_from
+and the expansion fit read G from the one {tau: G(tau)} map gram_from
+returns.  The (sys, x0, p0) entry points build what they read.
 
 Each stage stacks its per-point linear algebra: gram_from takes the rank
 profiles of all its points level by level and runs each step of the Gram
@@ -109,8 +110,8 @@ def _require_ample(flag):
 
 
 def gram_from(geodesic, flag, times):
-    """G(tau) for every tau in times, read from the geodesic; `flag` is
-    flag_at at the geodesic's base covector.
+    """{float(tau): G(tau)} for every tau in times, read from the
+    geodesic; `flag` is flag_at at the geodesic's base covector.
 
     The auxiliary completion is chosen once at the base point and kept
     along the trajectory, and the growth vector must stay that of the
@@ -153,34 +154,25 @@ def gram_from(geodesic, flag, times):
         [np.array(level) for level in zip(*columns)])
     if failure is not None:
         raise failure
-    values = dict(zip(distinct, (0.5 * sum(row) for row in logs.tolist())))
-    return [values[float(t)] for t in times]
+    return dict(zip(distinct, (0.5 * sum(row) for row in logs.tolist())))
 
 
-def rho_times(times):
+def rho_times(s=0.0):
     """The trajectory times rho_from reads: four finite-difference nodes
-    around each requested time."""
+    around the time s."""
     h = FD_STEP
-    needed = []
-    for s in times:
-        needed.extend((s - h, s - h / 2, s + h / 2, s + h))
-    return needed
+    return [s - h, s - h / 2, s + h / 2, s + h]
 
 
-def rho_from(geodesic, flag, times):
-    """rho at the flowed covectors lambda(s), s in times, read from the
-    geodesic: Richardson extrapolated central differences of G.  Every
-    value is a finite difference of the single function G, four G
-    evaluations per node."""
+def rho_from(gram, s=0.0):
+    """rho at the flowed covector lambda(s), read from `gram`, a map of
+    G over at least rho_times(s): Richardson extrapolated central
+    differences of G."""
     h = FD_STEP
-    vals = gram_from(geodesic, flag, rho_times(times))
-    out = []
-    for i in range(len(times)):
-        gm, gm2, gp2, gp = vals[4 * i: 4 * i + 4]
-        d_h = (gp - gm) / (2 * h)
-        d_h2 = (gp2 - gm2) / h
-        out.append((4 * d_h2 - d_h) / 3)
-    return np.array(out)
+    gm, gm2, gp2, gp = (gram[t] for t in rho_times(s))
+    d_h = (gp - gm) / (2 * h)
+    d_h2 = (gp2 - gm2) / h
+    return (4 * d_h2 - d_h) / 3
 
 
 def rho(sys, x0, p0):
@@ -188,19 +180,28 @@ def rho(sys, x0, p0):
     extrapolated central differences along the flow."""
     flag = fl.flag_at(sys, x0, p0)
     _require_ample(flag)
-    geodesic = ham.Geodesic(sys, x0, p0, rho_times([0.0]))
-    return rho_from(geodesic, flag, [0.0])[0]
+    geodesic = ham.Geodesic(sys, x0, p0, rho_times())
+    return rho_from(gram_from(geodesic, flag, rho_times()))
 
 
 def log_volume_ratios_from(geodesic, times):
     """log of the volume ratio at each time, read from the geodesic's
-    transition matrices, with one log-determinant call for all of them."""
+    transition matrices, with one log-determinant call for all of them.
+    A density that fails at a point of the flow raises RhoError naming
+    its time; one that fails at the base point is an input error."""
     sys = geodesic.sys
     log_m0 = math.log(sys.density_at(geodesic.x0))
     xs, _, M = geodesic.at(times)
     _, lds = ham.signed_log_det(ham.vertical_jacobian(M, sys.dim))
-    return np.array([ld + math.log(sys.density_at(x)) - log_m0
-                     for ld, x in zip(lds, xs)])
+    out = []
+    for t, ld, x in zip(times, lds, xs):
+        try:
+            density = sys.density_at(x)
+        except geo.GeometryError as err:
+            raise RhoError("along the flow at t=%r: %s"
+                           % (float(t), err)) from None
+        out.append(ld + math.log(density) - log_m0)
+    return np.array(out)
 
 
 def log_volume_ratios(sys, x0, p0, times):

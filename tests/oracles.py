@@ -126,9 +126,8 @@ def g_rel(sys, x0, p0, t):
     scalar = np.isscalar(t)
     ts = [float(t)] if scalar else [float(v) for v in t]
     geodesic = ham.Geodesic(sys, x0, p0, ts)
-    vals = rh.gram_from(geodesic, flag, ts + [0.0])
-    base = vals[-1]
-    out = [v - base for v in vals[:-1]]
+    gram = rh.gram_from(geodesic, flag, ts + [0.0])
+    out = [gram[t] - gram[0.0] for t in ts]
     return out[0] if scalar else np.array(out)
 
 
@@ -161,9 +160,11 @@ def scaling_checks(sys, x0, p0, factors):
         # G(t) - G(0) at each of ts.
         flag = fl.flag_at(sys, x0, p)
         rh._require_ample(flag)
-        geodesic = ham.Geodesic(sys, x0, p, rh.rho_times([0.0]) + ts)
-        g0, *g = rh.gram_from(geodesic, flag, [0.0] + ts)
-        return rh.rho_from(geodesic, flag, [0.0])[0], np.array(g) - g0
+        times = rh.rho_times() + [0.0] + ts
+        geodesic = ham.Geodesic(sys, x0, p, times)
+        gram = rh.gram_from(geodesic, flag, times)
+        return (rh.rho_from(gram),
+                np.array([gram[float(t)] for t in ts]) - gram[0.0])
 
     t_probe = list(SCALING_TIMES)
     base_rho, g_base = rho_and_g(

@@ -87,7 +87,7 @@ def test_dense_output_matches_step_ended_transitions():
     x0 = np.zeros(4)
     p0 = np.array([0.9, 0.6, 0.4, -0.3])
     # the time set of one analyze_report with its default settings
-    times = (fl.equiregular_times(0.2) + rh.rho_times([0.0])
+    times = (fl.equiregular_times(0.2) + rh.rho_times()
              + rh.rho_flow_times() + asym.fit_times()
              + asym.exponent_probe_times())
     geodesic = ham.Geodesic(sys, x0, p0, times)

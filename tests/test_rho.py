@@ -84,8 +84,9 @@ def test_two_paths_agree_on_engel():
 
 def _rho_from(sys, x0, p0, times):
     flag = fl.flag_at(sys, x0, p0)
-    geodesic = ham.Geodesic(sys, x0, p0, rh.rho_times(times))
-    return rh.rho_from(geodesic, flag, times)
+    nodes = [t for s in times for t in rh.rho_times(s)]
+    gram = rh.gram_from(ham.Geodesic(sys, x0, p0, nodes), flag, nodes)
+    return np.array([rh.rho_from(gram, s) for s in times])
 
 
 def test_rho_from_shapes():

@@ -48,8 +48,10 @@ VANISHING_DENSITY = {"dim": 2, "rank": 2, "X0": ["0", "0"],
                      "frame": [["1", "0"], ["0", "1"]], "Q": "0",
                      "density": "x1"}
 
-# A density that overflows far from the origin.
+# A density that overflows far from the origin: at x1 = 709.78..., which
+# the flow from the base point (709.7, 0) reaches within the fit window.
 OVERFLOWING_DENSITY = dict(VANISHING_DENSITY, density="exp(x1)")
+OVERFLOW_BASE = ["--base", "709.7,0"]
 
 SWEEPS = {
     "heisenberg3": ["1,0,1", "0,0,1", "1,0", "0.6,0.8,nan", "0.6,0.8,1.1",
@@ -78,7 +80,9 @@ def commands(tmp):
         (tmp / (stem + ".json")).write_text(json.dumps(data))
     for name, rows in SWEEPS.items():
         (tmp / (name + ".txt")).write_text("".join(r + "\n" for r in rows))
+    (tmp / "overflowing-density.txt").write_text("1,0\n0.6,0.8\n")
     martinet = str(tmp / "martinet.json")
+    overflowing = str(tmp / "overflowing-density.json")
     out += [
         # stationary, non-ample and non-equiregular covectors
         ["analyze", "heisenberg3", "--covector", "0,0,1"],
@@ -114,16 +118,25 @@ def commands(tmp):
         ["analyze", "heisenberg3", "--covector", "1e200,0,1"],
         ["analyze", "--file", str(tmp / "vanishing-density.json"),
          "--covector", "1,0"],
-        ["analyze", "--file", str(tmp / "overflowing-density.json"),
-         "--covector", "1,0", "--base", "1000,0"],
+        ["analyze", "--file", overflowing, "--covector", "1,0",
+         "--base", "1000,0"],
+        ["analyze", "--file", overflowing, "--covector", "1,0"]
+        + OVERFLOW_BASE,
+        ["analyze", "--file", overflowing, "--covector", "1,0", "--no-fit"]
+        + OVERFLOW_BASE,
         ["analyze", "euclidean:2", "--covector", "1,0,0"],
         ["analyze", "nosuchspace", "--covector", "1"],
     ]
     out += [["sweep", name, str(tmp / (name + ".txt"))] for name in SWEEPS]
     out += [
+        ["sweep", "--file", overflowing,
+         str(tmp / "overflowing-density.txt")] + OVERFLOW_BASE,
         ["expansion", "euclidean:2", "--covector", "1,0"],
         ["expansion", "engel", "--covector", "0.8,0.6,0.5,-0.4",
          "--samples", "10"],
+        # stationary and non-ample covectors
+        ["expansion", "engel", "--covector", "0,0,0,0"],
+        ["expansion", "engel", "--covector", "0,1,0,0"],
         ["list-builtins"],
         ["verify-identities", "--nmax", "8"],
     ]
