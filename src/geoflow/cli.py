@@ -2,8 +2,9 @@
 report and table emission.
 
 Exit codes: 0 all checks pass, 1 usage error, 2 the covector is
-non-ample or non-equiregular, 3 numerical failure (integration blow-up,
-degenerate Gram data, or a tolerance check that did not pass).
+degenerate at its base, non-ample or non-equiregular, 3 numerical failure
+(a flow that blows up, a flag or Gram data that degenerate along the
+flow, or a tolerance check that did not pass).
 """
 
 from __future__ import annotations
@@ -184,25 +185,26 @@ def analyze_report(system, x0, p0, window=asym.FIT_WINDOW,
         "base": [float(v) for v in x0],
         "covector": [float(v) for v in p0],
     }
+    # The base flag comes first, so a stationary covector is rejected
+    # before anything is integrated and a non-ample one is integrated only
+    # for its growth along the flow.  Only the base flag's FlagError is a
+    # degenerate covector; one raised along the flow is a numerical
+    # failure.  One geodesic serves every stage, and one Gram pass serves
+    # rho and the fit: collect the times each one reads.
     try:
-        # The base flag comes first, so a stationary covector is rejected
-        # before anything is integrated and a non-ample one is integrated
-        # only for its growth along the flow.  One geodesic serves every
-        # stage, and one Gram pass serves rho and the fit: collect the
-        # times each one reads.
         flag = fl.flag_at(system, x0, p0)
-        times = fl.equiregular_times(window[1])
-        if flag.ample:
-            gram_times = rh.rho_times()
-            if fit:
-                gram_times += [0.0] + asym.fit_times(window, samples)
-                times += asym.exponent_probe_times()
-            times += gram_times + rh.rho_flow_times()
-        geodesic = ham.Geodesic(system, x0, p0, times, tol)
-        verdict, growths = fl.equiregular_from(geodesic, flag, window[1])
     except fl.FlagError as err:
         report["status"] = "degenerate covector: %s" % err
         return report, EXIT_DEGENERATE
+    times = fl.equiregular_times(window[1])
+    if flag.ample:
+        gram_times = rh.rho_times()
+        if fit:
+            gram_times += [0.0] + asym.fit_times(window, samples)
+            times += asym.exponent_probe_times()
+        times += gram_times + rh.rho_flow_times()
+    geodesic = ham.Geodesic(system, x0, p0, times, tol)
+    verdict, growths = fl.equiregular_from(geodesic, flag, window[1])
     report["flag"] = _flag_section(flag)
     report["equiregular"] = bool(verdict)
     report["growth_along_flow"] = [list(g) for g in growths]
@@ -433,7 +435,7 @@ def _add_common(parser, covector=True):
                                         " comma-separated expressions")
     parser.add_argument("--potential", help="override potential expression")
     parser.add_argument("--tol", type=_tol_arg, default=ham.DEFAULT_TOL,
-                        help="integrator tolerance")
+                        help="Taylor flow tolerance")
     parser.add_argument("--window", type=_window_arg, default=asym.FIT_WINDOW,
                         help="fit window as lo,hi")
     parser.add_argument("--samples", type=_samples_arg,

@@ -13,7 +13,9 @@ out fractional-power surprises in the structure formulas.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 
 import numpy as np
@@ -23,7 +25,7 @@ __all__ = [
     "ExprError", "ExprSyntaxError", "UnknownIdentifierError",
     "NonIntegerExponentError",
     "parse", "diff", "simplify", "evaluate", "substitute", "compile_exprs",
-    "variables",
+    "compile_taylor", "variables",
 ]
 
 
@@ -698,3 +700,169 @@ def compile_exprs(exprs):
         return np.array(out, dtype=float)
 
     return evaluator
+
+
+def compile_taylor(field, extra=()):
+    """Compile the Taylor series of the flow of zdot = field(z), a field
+    over Var(0)..Var(m - 1), and of the expressions `extra` along it.
+
+    Returns jet(z0, order) -> (Z, E): row k of the (order + 1, m) array Z
+    holds the order-k coefficients of z(t) at t = 0, from z_0 = z0 and
+    z_{k+1} = field(z)_k / (k + 1); row k of the (order, len(extra))
+    array E holds those of the extra expressions.  The recurrences are
+    those of Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13.
+    As in compile_exprs, the code is generated, identical subtrees are
+    emitted once, and a formula that overflows or leaves its domain makes
+    the whole output NaN.
+    """
+    # A reference is (source, None) for a constant, or (None, name) for
+    # the list of a node's coefficients.
+    names = {}
+    head = []    # the statements of order 0
+    body = []    # the statements of order k >= 1
+    fresh = map("t{}".format, itertools.count()).__next__
+
+    def at0(ref):
+        return ref[0] if ref[1] is None else ref[1] + "[0]"
+
+    def conv(a, b):
+        return "_sum(map(_mul, %s, _reversed(%s)))" % (a, b)
+
+    def series(zero, step, name=None):
+        # A new coefficient list; its step may name the list itself as {0}.
+        name = name or fresh()
+        head.append("    %s = [%s]" % (name, zero))
+        body.append("        %s.append(%s)" % (name, step.format(name)))
+        return (None, name)
+
+    def derivative(a):
+        # d<a> lists k a_k, k >= 1: the coefficients of a's derivative.
+        d = "d" + a
+        if d not in names:
+            names[d] = d
+            head.append("    %s = []" % d)
+            body.append("        %s.append(k * %s[k])" % (d, a))
+        return d
+
+    def power(base, e):
+        # base^e, e >= 1, by repeated squaring.
+        if e == 1:
+            return emit(base)[1]
+        if Pow(base, e) not in names:
+            a, b = ((power(base, e - 1), emit(base)[1]) if e % 2
+                    else (power(base, e // 2),) * 2)
+            names[Pow(base, e)] = series("%s[0]*%s[0]" % (a, b), conv(a, b))
+        return names[Pow(base, e)][1]
+
+    def quotient(zero, num, den):
+        # c = num / den: c_k = (num_k - sum_{j>=1} den_j c_{k-j}) / den_0.
+        rest = "_sum(map(_mul, %s[1:], _reversed({0})))" % den
+        step = "-" + rest if num[1] is None else "(%s[k] - %s)" % (num[1],
+                                                                  rest)
+        return series(zero, "%s / %s[0]" % (step, den))
+
+    def call(node, a, zero):
+        if node.fn == "exp":
+            return series(zero, conv(derivative(a), "{0}") + " / k")
+        if node.fn == "log":
+            ref = series(zero, "(%s[k] - _sum(map(_mul, d{0}, %s[k-1:0:-1]))"
+                         " / k) / %s[0]" % (a, a, a))
+            derivative(ref[1])
+            return ref
+        if node.fn == "sqrt":
+            return series(zero, "(%s[k] - _sum(map(_mul, {0}[1:],"
+                          " {0}[:0:-1]))) / (2.0 * {0}[0])" % a)
+        # sin and cos as a pair: s' = c a', c' = -s a'.
+        da, s, c = derivative(a), fresh(), fresh()
+        names[Call("sin", node.arg)] = series(
+            "_sin(%s[0])" % a, conv(da, c) + " / k", s)
+        names[Call("cos", node.arg)] = series(
+            "_cos(%s[0])" % a, "-_sum(map(_mul, %s, %s[-2::-1])) / k"
+            % (da, s), c)
+        return names[node]
+
+    def emit(node):
+        if node not in names:
+            names[node] = build(node)
+        return names[node]
+
+    def build(node):
+        if isinstance(node, Const):
+            return ("(%r)" % node.value, None)
+        if isinstance(node, Var):
+            return (None, "v%d" % node.index)
+        if isinstance(node, Add):
+            kids = [emit(t) for t in node.terms]
+            zero = " + ".join(map(at0, kids))
+        elif isinstance(node, Mul):
+            kids = [emit(f) for f in node.factors]
+            zero = "*".join(map(at0, kids))
+        elif isinstance(node, Div):
+            kids = [emit(node.num), emit(node.den)]
+            zero = "%s / %s" % tuple(map(at0, kids))
+        elif isinstance(node, Pow):
+            kids = [emit(node.base)]
+            zero = "%s**(%d)" % (at0(kids[0]), node.exponent)
+        elif isinstance(node, Call):
+            kids = [emit(node.arg)]
+            zero = "_%s(%s)" % (node.fn, at0(kids[0]))
+        else:
+            raise TypeError("cannot compile %r" % (node,))
+        lists = [r[1] for r in kids if r[1] is not None]
+        if not lists:
+            local = fresh()
+            head.append("    %s = %s" % (local, zero))
+            return (local, None)
+        if isinstance(node, Add):
+            return series(zero, " + ".join(a + "[k]" for a in lists))
+        if isinstance(node, Mul):
+            scale = "".join(r[0] + "*" for r in kids if r[1] is None)
+            acc = lists[0]
+            for b in lists[1:-1]:
+                acc = series("%s[0]*%s[0]" % (acc, b), conv(acc, b))[1]
+            if len(lists) > 1:
+                return series(zero, scale + conv(acc, lists[-1]))
+            return series(zero, scale + acc + "[k]") if scale else kids[0]
+        if isinstance(node, Div):
+            if kids[1][1] is None:
+                return series(zero, "%s[k] / %s" % (lists[0], kids[1][0]))
+            return quotient(zero, kids[0], kids[1][1])
+        if isinstance(node, Pow):
+            if node.exponent == 0:
+                return ("1.0", None)
+            if node.exponent > 0:
+                return (None, power(node.base, node.exponent))
+            return quotient(zero, ("1.0", None),
+                            power(node.base, -node.exponent))
+        return call(node, lists[0], zero)
+
+    fields = [emit(e) for e in field]
+    outputs = [emit(e) for e in extra]
+    m = len(fields)
+    source = "\n".join(
+        ["def geoflow_taylor(%s, order):" % ", ".join(
+            "v%d" % i for i in range(m))] + head
+        + ["    v%d.append(%s)" % (i, at0(r)) for i, r in enumerate(fields)]
+        + ["    for k in range(1, order):"] + body
+        + ["        v%d.append(%s / (k + 1))" % (
+            i, "0.0" if r[1] is None else r[1] + "[k]")
+           for i, r in enumerate(fields)]
+        + ["    return [%s]" % ", ".join(
+            "[%s] + [0.0] * (order - 1)" % r[0] if r[1] is None
+            else r[1] + "[:order]" for r in outputs)]) + "\n"
+    namespace = {"_%s" % fn: _FUNC_EVAL[fn] for fn in _FUNC_EVAL}
+    namespace.update(_sum=sum, _mul=operator.mul, _reversed=reversed)
+    exec(compile(source, "<geoflow-taylor>", "exec"), namespace)
+    code = namespace["geoflow_taylor"]
+
+    def jet(z0, order):
+        v = [[x] for x in np.asarray(z0, dtype=float).tolist()]
+        try:
+            out = code(*v, order)
+        except (OverflowError, ZeroDivisionError, ValueError):
+            return (np.full((order + 1, m), np.nan),
+                    np.full((order, len(outputs)), np.nan))
+        return (np.array(v, dtype=float).reshape(m, order + 1).T,
+                np.array(out, dtype=float).reshape(len(outputs), order).T)
+
+    return jet

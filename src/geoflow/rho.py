@@ -116,14 +116,16 @@ def gram_from(geodesic, flag, times):
     The auxiliary completion is chosen once at the base point and kept
     along the trajectory, and the growth vector must stay that of the
     base covector.  Each point must pass its checks (completion,
-    rank profile, Gram determinants) and the first failing point in the
-    order visited raises; the rank profiles and Gram determinants of all
-    points are computed as stacks."""
+    rank profile, Gram determinants), and the failing point nearest the
+    base along the flow raises; the rank profiles and Gram determinants of
+    all points are computed as stacks."""
     _require_ample(flag)
     sys = geodesic.sys
     comp = geo.aux_frame_at(sys, geodesic.x0).complement
     expected = tuple(flag.raw_ranks)
-    distinct = list({float(t) for t in times})
+    # Visited outward from the base, so that the first failure met is the
+    # earliest along the flow.
+    distinct = sorted({float(t) for t in times}, key=lambda t: (abs(t), t))
     xs, ps, _ = geodesic.at(distinct)
     failure = None
     aux = []

@@ -2,6 +2,8 @@
 
 - flow and transition: the phase state, and its transition matrix, at
   one time.
+- lie_series: the Taylor coefficients of the flow at t = 0 from symbolic
+  Lie derivatives of the Hamiltonian field.
 - velocity_at and admissible_extension: the velocity from row 0 of the
   control jet, and the polynomial admissible extension as a plain vector
   field over the chart.
@@ -18,6 +20,9 @@ Every function reaches the library through module attributes
 by monkeypatching one of them sees the calls made here as well.
 """
 
+import math
+import pathlib
+
 import numpy as np
 
 from geoflow import expr as ex
@@ -25,6 +30,11 @@ from geoflow import flag as fl
 from geoflow import geometry as geo
 from geoflow import hamiltonian as ham
 from geoflow import rho as rh
+
+# A structure file whose Hamiltonian field has every node kind: sin, cos,
+# exp, log, sqrt, a quotient and a negative power, through its frame,
+# drift and potential.  log(x1) leaves its domain at x1 = 0.
+NODE_KINDS = pathlib.Path(__file__).with_name("node_kinds.json")
 
 # Times t at which scaling_checks compares G_{c lambda}(t) with
 # G_lambda(c t).
@@ -44,6 +54,21 @@ def transition(sys, x0, p0, t):
 def flow(sys, x0, p0, t):
     """(x, p) at one time."""
     return transition(sys, x0, p0, t)[:2]
+
+
+def lie_series(sys, x0, p0, order):
+    """(order + 1, 2n) array whose row k is L_F^k z / k! at (x0, p0): the
+    order-k Taylor coefficients of the flow z = (x, p) at t = 0, each
+    derivative along the Hamiltonian field F chained symbolically."""
+    F = ham._hamiltonian_field(sys)
+    point = np.concatenate([x0, p0]).tolist()
+    rows = [[ex.Var(i) for i in range(len(F))]]
+    for _ in range(order):
+        rows.append([ex.simplify(ex.Add(tuple(
+            ex.Mul((F[z], ex.diff(g, z))) for z in range(len(F)))))
+            for g in rows[-1]])
+    return np.array([[ex.evaluate(g, point) / math.factorial(k) for g in row]
+                     for k, row in enumerate(rows)])
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,8 @@ import geoflow.geometry as geo
 import geoflow.hamiltonian as ham
 import geoflow.rho as rh
 
+import oracles
+
 MARTINET = {"name": "martinet", "dim": 3, "rank": 2,
             "X0": ["0", "0", "0"],
             "frame": [["1", "0", "0"], ["0", "1", "x1^2"]],
@@ -86,8 +88,12 @@ def test_analyze_numerical_failure_exit(capsys):
          "--window", "0.1,1e300"],
         ["analyze", "euclidean:2", "--covector", "1,0",
          "--window", "1e-300,1e-299"],
-        # the scaled field overflows at the start
+        # x3 reaches about 1e295 by t = 0.05, where the frame is no
+        # longer independent in floating point: a flag failure along the
+        # flow, not at the base
         ["analyze", "heisenberg3", "--covector", "1e150,0,1"],
+        # the flow's Taylor series overflows at the start
+        ["analyze", "heisenberg3", "--covector", "1,0,1e30"],
         # the flag's squared velocity overflows, or its column norms do
         ["analyze", "heisenberg3", "--covector", "1e200,0,1"],
         ["analyze", "heisenberg3", "--covector", "1,0,1",
@@ -97,6 +103,27 @@ def test_analyze_numerical_failure_exit(capsys):
         assert run(argv) == 3, argv
         assert capsys.readouterr().err.startswith(
             ("integration failure", "numerical failure")), argv
+
+
+def test_flag_failing_along_the_flow_is_numerical(tmp_path, capsys):
+    # The frame degenerates at x1 = 1, which the flow from (0.9, 0)
+    # reaches; the base covector is fine.
+    path = tmp_path / "degenerating-frame.json"
+    path.write_text(json.dumps({
+        "dim": 2, "rank": 2, "X0": ["0", "0"],
+        "frame": [["1", "0"], ["1", "x1 - 1"]], "Q": "0", "density": "1"}))
+    assert run(["analyze", "--file", str(path), "--base", "0.9,0",
+                "--covector", "1,0"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: frame fields are dependent at")
+
+
+def test_flow_leaving_the_domain_exits_three(capsys):
+    # x1 reaches 0, where the drift's log(x1) is undefined.
+    assert run(["analyze", "--file", str(oracles.NODE_KINDS),
+                "--base", "0.05,0", "--covector=-1,0.3"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "integration failure: flow blew up near t=")
 
 
 def test_density_failing_along_the_flow_is_numerical(tmp_path, capsys):
@@ -294,7 +321,7 @@ def test_list_builtins_names(capsys):
 
 def test_sweep_statuses_in_input_order(tmp_path, capsys):
     covectors = ["1,0,1", "0,0,1", "1,0", "0.6,0.8,nan", "1e150,0,1",
-                 "0.6,0.8,1.1", "1e160,0,1", "1e200,0,1"]
+                 "0.6,0.8,1.1", "1e160,0,1", "1e200,0,1", "1,0,1e30"]
     batch = tmp_path / "covs.txt"
     batch.write_text("".join(c + "\n" for c in covectors))
     rc = run(["sweep", "heisenberg3", str(batch)])
@@ -309,19 +336,22 @@ def test_sweep_statuses_in_input_order(tmp_path, capsys):
         assert alone == [lines[0], lines[i + 1]]
     assert lines[0].rstrip() == ("covector,growth,dimension,rho,C_fit,"
                                  "trR_fit,residual,status")
-    assert len(lines) == 9
+    assert len(lines) == 10
     first = lines[1].split(",")
     assert first[0] == '"1'  # quoted because the covector contains commas
     assert lines[1].rstrip().endswith("ok")
     assert "degenerate" in lines[2]
     assert "bad-input" in lines[3]
     assert "bad-input" in lines[4]
-    assert ",integration-failure: " in lines[5]
+    # the flow reaches x3 ~ 1e295, where the completion degenerates
+    assert (',,,,,"degenerate: auxiliary completion degenerated at'
+            in lines[5])
     assert lines[6].rstrip().endswith("ok")
     # the flag overflows: a failure with no growth vector, not non-ample
-    for line in lines[7:]:
+    for line in lines[7:9]:
         assert ",,,,,,,degenerate: " in line
         assert "non-ample" not in line
+    assert ",integration-failure: " in lines[9]
     ok_fields = lines[1].rsplit(",", 5)
     assert float(ok_fields[2]) == pytest.approx(1.0 / 12.0, rel=1e-3)
 
@@ -338,8 +368,9 @@ def test_sweep_row_failing_in_the_fit_window_has_no_rho(tmp_path, capsys):
               str(batch)])
     lines = capsys.readouterr().out.strip().splitlines()
     assert rc == 0
+    # the failing time named is the earliest along the flow
     assert lines[1].startswith('"1,0",2,2,,,,,"degenerate: auxiliary'
-                               ' completion degenerated at t=0.135')
+                               ' completion degenerated at t=0.0915')
 
 
 def test_sweep_empty_file_emits_header_only(tmp_path, capsys):
@@ -460,22 +491,14 @@ def test_analyze_integrates_once_per_time_sign(monkeypatch):
     assert sum(len(s) for s in signs) == 2
 
 
-def test_analyze_rhs_budget():
-    # Steps end only at the last time of each sign; DOPRI5 ending a step
-    # at every target made 1,084 evaluations here.
+def test_analyze_jet_budget(monkeypatch):
+    # One Taylor jet at t = 0 serves every time of both signs.
+    jets = _counting(monkeypatch, ham, "_jet")
     system = catalog.builtin("engel")
-    inner = ham._rhs_fn(system)
-    calls = [0]
-
-    def counted(values):
-        calls[0] += 1
-        return inner(values)
-
-    system._cache["rhs_fn"] = counted
     _, code = cli.analyze_report(system, np.zeros(4),
                                  np.array([0.8, 0.6, 0.5, -0.4]))
     assert code == 0
-    assert calls[0] <= 450
+    assert len(jets) == 1
 
 
 def test_engel_two_path_rho_gap_stays_small():
@@ -485,7 +508,7 @@ def test_engel_two_path_rho_gap_stays_small():
         p0 = catalog.sample_covector("engel", rng)
         report, code = cli.analyze_report(system, np.zeros(4), p0)
         assert code == 0
-        assert report["rho"]["gap"] <= 2e-6
+        assert report["rho"]["gap"] <= 1e-10
 
 
 def _counting(monkeypatch, owner, name):

@@ -131,3 +131,16 @@ def test_compile_exprs_matches_evaluate():
                 [x1, 1.0, 1.0])
             assert got.shape == (len(nodes) + 1,)
             assert np.all(np.isnan(got)), text
+
+
+def test_compile_taylor_failures_give_nan():
+    # xdot = f(x): overflow, division by zero and a math-domain error give
+    # an all-NaN jet, with no exception and no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text, x1 in (("exp(x1)", 1000.0), ("1/x1", 0.0),
+                         ("log(x1)", -1.0), ("x1^(-2)", 0.0)):
+            Z, E = ex.compile_taylor([ex.parse(text, ["x1"])],
+                                     [ex.parse("x1^2", ["x1"])])([x1], 4)
+            assert Z.shape == (5, 1) and E.shape == (4, 1)
+            assert np.all(np.isnan(Z)) and np.all(np.isnan(E)), text

@@ -281,7 +281,7 @@ def test_control_jet_is_the_poisson_bracket_with_h(name):
 @pytest.mark.parametrize("name", ["heisenberg3", "engel", "heisenberg5:1,2"])
 def test_hamiltonian_is_differentiated_once_per_phase_coordinate(
         name, monkeypatch):
-    # The integrator's field and the control jet share one derivation of
+    # The Taylor flow's field and the control jet share one derivation of
     # the Hamiltonian field.
     sys = catalog.builtin(name)
     H = ham.hamiltonian(sys)
@@ -294,7 +294,7 @@ def test_hamiltonian_is_differentiated_once_per_phase_coordinate(
         return diff(e, var)
 
     monkeypatch.setattr(ex, "diff", counted)
-    ham._rhs_fn(sys)
+    ham._taylor_fn(sys)
     fl._poisson_exprs(sys, 3)
     assert sorted(calls) == list(range(2 * sys.dim))
 

@@ -8,6 +8,7 @@ import pytest
 from geoflow import asymptotics as asym
 from geoflow import catalog
 from geoflow import flag as fl
+from geoflow import geometry as geo
 from geoflow import hamiltonian as ham
 from geoflow import rho as rh
 
@@ -81,8 +82,8 @@ def test_geodesic_matches_flow():
 
 
 def test_dense_output_matches_step_ended_transitions():
-    # The geodesic serves interior times from the integrator's continuous
-    # extension; a single-time transition ends a step exactly there.
+    # The geodesic serves all of an analyze's times from one call; a
+    # single-time transition serves that time alone.
     sys = catalog.builtin("engel")
     x0 = np.zeros(4)
     p0 = np.array([0.9, 0.6, 0.4, -0.3])
@@ -122,20 +123,24 @@ def test_drift_translation():
 
 
 def test_transition_matches_finite_differences():
-    sys = catalog.builtin("heisenberg3")
-    x0 = np.zeros(3)
-    p0 = np.array([0.7, -0.4, 0.9])
+    cases = [
+        (catalog.builtin("heisenberg3"), np.zeros(3),
+         np.array([0.7, -0.4, 0.9])),
+        (geo.load_structure(oracles.NODE_KINDS), np.array([1.0, 0.0]),
+         np.array([0.6, 0.8])),
+    ]
     t = 0.5
-    _, _, M = oracles.transition(sys, x0, p0, t)
-    n = 3
     h = 1e-6
-    for j in range(2 * n):
-        dz = np.zeros(2 * n)
-        dz[j] = h
-        up = oracles.flow(sys, x0 + dz[:n], p0 + dz[n:], t)
-        dn = oracles.flow(sys, x0 - dz[:n], p0 - dz[n:], t)
-        col = (np.concatenate(up) - np.concatenate(dn)) / (2 * h)
-        assert np.allclose(M[:, j], col, atol=5e-6)
+    for sys, x0, p0 in cases:
+        _, _, M = oracles.transition(sys, x0, p0, t)
+        n = sys.dim
+        for j in range(2 * n):
+            dz = np.zeros(2 * n)
+            dz[j] = h
+            up = oracles.flow(sys, x0 + dz[:n], p0 + dz[n:], t)
+            dn = oracles.flow(sys, x0 - dz[:n], p0 - dz[n:], t)
+            col = (np.concatenate(up) - np.concatenate(dn)) / (2 * h)
+            assert np.allclose(M[:, j], col, atol=5e-6), sys.name
 
 
 def test_vertical_jacobian_euclidean():
@@ -173,19 +178,60 @@ def test_signed_log_det():
     assert (signs[3], logdets[3]) == (0.0, -math.inf)
 
 
-def test_blowup_raises():
+def test_blowup_raises(monkeypatch):
+    # x = 1/(1 - t): the jets' steps shrink with the distance to the pole.
     sys = catalog.with_overrides(catalog.builtin("euclidean:1"),
                                  drift=["x1^2"])
-    with pytest.raises(ham.IntegrationError):
+    jets = []
+    inner = ham._jet
+
+    def counted(*args):
+        jets.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(ham, "_jet", counted)
+    with pytest.raises(ham.IntegrationError) as err:
         oracles.flow(sys, np.array([1.0]), np.zeros(1), 2.0)
+    assert 0.99 < err.value.t_last <= 1.0
+    assert len(jets) <= 200
 
 
-def test_energy_drift_raises_at_the_first_drifting_time():
+def test_taylor_coefficients_match_lie_derivatives():
+    # Every node kind of the field: its jet's coefficients are the
+    # symbolic Lie derivatives L_F^k z / k!.
+    sys = geo.load_structure(oracles.NODE_KINDS)
+    x0, p0 = np.array([1.0, 0.0]), np.array([0.6, 0.8])
+    want = oracles.lie_series(sys, x0, p0, 5)
+    Z, _ = ham._taylor_fn(sys)(np.concatenate([x0, p0]), 5)
+    assert np.all(np.abs(Z - want) <= 1e-12 * np.abs(want))
+
+
+def test_flow_leaving_the_domain_raises():
+    # x1 reaches 0, where the drift's log(x1) is undefined.
+    sys = geo.load_structure(oracles.NODE_KINDS)
+    with pytest.raises(ham.IntegrationError) as err:
+        ham.transition_many(sys, np.array([0.05, 0.0]), np.array([-1.0, 0.3]),
+                            [0.01, 0.2])
+    assert 0.01 < err.value.t_last < 0.05
+
+
+def test_energy_drift_raises_at_the_first_drifting_time(monkeypatch):
+    # The energy is read at t = 0 and then at each time in order; from
+    # t = 1.0 on it leaves ENERGY_SLACK.
     sys = catalog.builtin("engel")
+    p0 = np.array([0.8, 0.6, 0.5, -0.4])
+    ham.energy_at(sys, np.zeros(4), p0)
+    energy = sys._cache["ham_fn"]
+    calls = []
+
+    def drifting_from_third(values):
+        calls.append(values)
+        return energy(values) + (1e-6 if len(calls) >= 3 else 0.0)
+
+    monkeypatch.setitem(sys._cache, "ham_fn", drifting_from_third)
     with pytest.raises(ham.IntegrationError,
                        match=r"energy drifted by .* at t=1\.0") as err:
-        ham.transition_many(sys, np.zeros(4), (0.8, 0.6, 0.5, -0.4),
-                            [0.5, 1.0, 2.0], tol=1e-2)
+        ham.transition_many(sys, np.zeros(4), p0, [0.5, 1.0, 2.0])
     assert err.value.t_last == 1.0
 
 

@@ -7,8 +7,9 @@ in two checkouts and diff the two outputs:
 
     python3 tools/report_digest.py > digest.txt
 
-Structure and covector files are written to a temporary directory.  Its
-path, and the path of the checkout, are replaced by `<tmp>` and `<repo>`
+Structure and covector files are written to a temporary directory, but
+for the tests' `node_kinds.json`, which is read in place.  The paths of
+that directory and of the checkout are replaced by `<tmp>` and `<repo>`
 in the argv and in the hashed output, so checkouts in different places
 give the same lines.  Warnings are shown every time they are raised, so a
 command's output does not depend on the commands before it.
@@ -53,6 +54,14 @@ VANISHING_DENSITY = {"dim": 2, "rank": 2, "X0": ["0", "0"],
 OVERFLOWING_DENSITY = dict(VANISHING_DENSITY, density="exp(x1)")
 OVERFLOW_BASE = ["--base", "709.7,0"]
 
+# A frame that degenerates at x1 = 1, which the flow from (0.9, 0) reaches.
+DEGENERATING_FRAME = {"dim": 2, "rank": 2, "X0": ["0", "0"],
+                      "frame": [["1", "0"], ["1", "x1 - 1"]], "Q": "0",
+                      "density": "1"}
+
+# The tests' structure whose Hamiltonian field has every node kind.
+NODE_KINDS = ROOT / "tests" / "node_kinds.json"
+
 SWEEPS = {
     "heisenberg3": ["1,0,1", "0,0,1", "1,0", "0.6,0.8,nan", "0.6,0.8,1.1",
                     "1e150,0,1", "1e200,0,1", "-0.3,0.9,-0.7"],
@@ -75,7 +84,8 @@ def commands(tmp):
             p = catalog.sample_covector(name, rng)
             out.append(["analyze", name, "--covector=" + _covector_text(p)])
     files = {"martinet": MARTINET, "vanishing-density": VANISHING_DENSITY,
-             "overflowing-density": OVERFLOWING_DENSITY}
+             "overflowing-density": OVERFLOWING_DENSITY,
+             "degenerating-frame": DEGENERATING_FRAME}
     for stem, data in files.items():
         (tmp / (stem + ".json")).write_text(json.dumps(data))
     for name, rows in SWEEPS.items():
@@ -102,6 +112,9 @@ def commands(tmp):
         ["analyze", "engel", "--covector", "0.8,0.6,0.5,-0.4", "--no-fit"],
         ["analyze", "heisenberg3", "--covector", "0.6,0.8,1.1",
          "--window", "0.005,0.1", "--samples", "12", "--tol", "1e-10"],
+        # every node kind in the Hamiltonian field
+        ["analyze", "--file", str(NODE_KINDS), "--covector", "0.6,0.8",
+         "--base", "1,0"],
         # drift and potential overrides
         ["analyze", "sphere2", "--covector", "0,2", "--base", "1,0",
          "--potential", "x1^2"],
@@ -116,6 +129,9 @@ def commands(tmp):
          "--window", "0.1,1e300"],
         ["analyze", "heisenberg3", "--covector", "1e150,0,1"],
         ["analyze", "heisenberg3", "--covector", "1e200,0,1"],
+        ["analyze", "heisenberg3", "--covector", "1,0,1e30"],
+        ["analyze", "--file", str(tmp / "degenerating-frame.json"),
+         "--covector", "1,0", "--base", "0.9,0"],
         ["analyze", "--file", str(tmp / "vanishing-density.json"),
          "--covector", "1,0"],
         ["analyze", "--file", overflowing, "--covector", "1,0",
@@ -167,7 +183,8 @@ def main():
         tmp = pathlib.Path(name)
         for argv in commands(tmp):
             code, text = run(argv)
-            shown = [a.replace(str(tmp), "<tmp>") for a in argv]
+            shown = [a.replace(str(tmp), "<tmp>").replace(str(ROOT), "<repo>")
+                     for a in argv]
             text = text.replace(str(tmp), "<tmp>").replace(str(ROOT),
                                                            "<repo>")
             digest = hashlib.sha256(text.encode()).hexdigest()
