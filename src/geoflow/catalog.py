@@ -33,7 +33,8 @@ def _euclidean(n, psi=None):
         comps = ["0"] * n
         comps[i] = "1"
         cols.append(VectorField.from_strings(comps, names))
-    density = ex.Call("exp", ex.parse(psi, names)) if psi else ex.Const(1.0)
+    density = (ex.Const(1.0) if psi is None
+               else ex.Call("exp", ex.parse(psi, names)))
     label = "euclidean:%d" % n if psi is None else "euclidean:%d:psi=%s" % (n, psi)
     return ControlSystem(dim=n, rank=n, X0=VectorField.zero(n),
                          frame=tuple(cols), Q=ex.Const(0.0), density=density,
@@ -94,6 +95,10 @@ def martinet():
                          name="martinet")
 
 
+# The families that take no parameters.
+_PLAIN = {"sphere2": _sphere2, "heisenberg3": _heisenberg3, "engel": _engel}
+
+
 def builtin(name):
     """Resolve a catalog spec string to a ControlSystem."""
     text = str(name).strip()
@@ -115,10 +120,10 @@ def builtin(name):
                         "euclidean weight must be given as psi=<expr>")
                 psi = tail[len("psi="):]
             return _euclidean(n, psi)
-        if root == "sphere2":
-            return _sphere2()
-        if root == "heisenberg3":
-            return _heisenberg3()
+        if root in _PLAIN:
+            if len(parts) > 1:
+                raise ValueError("%s takes no parameters" % root)
+            return _PLAIN[root]()
         if root == "heisenberg5":
             if len(parts) != 2:
                 raise GeometryError("heisenberg5 needs two rates:"
@@ -127,8 +132,6 @@ def builtin(name):
             if a1 == 0.0 or a2 == 0.0:
                 raise GeometryError("heisenberg5 rates must be nonzero")
             return _heisenberg5(a1, a2)
-        if root == "engel":
-            return _engel()
     except (ValueError, ex.ExprError) as err:
         raise GeometryError("malformed builtin parameters in %r: %s"
                             % (text, err)) from None

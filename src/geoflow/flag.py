@@ -14,13 +14,14 @@ transverse affine time function, the extension is
 
     T(x) = X_0(x) + sum_i uhat_i(s(x)) X_i(x)
 
-where uhat_i is the Taylor polynomial of the control u_i(t) at t = 0.  The
-control derivatives are iterated Poisson brackets with the Hamiltonian, so
-every coefficient is an explicit function of the covector.  The brackets
-are taken in graded form, as polynomials in a formal s whose coefficients
-are fields over (x, alpha, c), c the control jet; only the s^0 coefficient
-survives at the base point.  They are assembled once per structure and
-reused for every covector by binding (x, alpha, c) numerically.
+where uhat_i is the Taylor polynomial of the control u_i(t) at t = 0.  Its
+coefficients, the control jet, are the controls' Taylor coefficients along
+the Hamiltonian flow, generated like the flow's own by expr.compile_taylor,
+so every coefficient is a function of the covector.  The
+brackets are taken in graded form, as polynomials in a formal s whose
+coefficients are fields over (x, alpha, c), c the control jet; only the
+s^0 coefficient survives at the base point.  They are assembled once per
+structure and reused for every covector by binding (x, alpha, c) numerically.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = [
     "FlagError", "NonFiniteError", "GeodesicFlag", "flag_at",
     "geodesic_dimension", "homogeneous_weight", "young_diagram",
     "leading_constant", "equiregular_times", "equiregular_from",
-    "poisson_taylor",
+    "control_jet",
 ]
 
 RANK_TOL = 1e-9
@@ -60,33 +61,14 @@ class NonFiniteError(ArithmeticError):
     covector."""
 
 
-def _poisson_exprs(sys, order):
-    """Control derivative expressions U[i][r] = (d/dt)^r u_i as phase
-    functions, r = 0..order."""
-    return sys.cached(("poisson_exprs", order),
-                      lambda: _build_poisson_exprs(sys, order))
-
-
-def _build_poisson_exprs(sys, order):
-    if order == 0:
-        return tuple((u,) for u in ham._control_exprs(sys))
-    # d/dt u = {H, u} is the derivative of u along the Hamiltonian field F.
-    # Its terms are added in the order of sum_m (dH/dp_m du/dx_m -
-    # dH/dx_m du/dp_m), which fixes the rounding of merged coefficients.
-    n = sys.dim
-    F = ham._hamiltonian_field(sys)
-    return tuple(row + (ex.simplify(ex.Add(tuple(
-        ex.Mul((F[z], ex.diff(row[-1], z)))
-        for m in range(n) for z in (m, n + m)))),)
-        for row in _poisson_exprs(sys, order - 1))
-
-
-def poisson_taylor(sys, x, p, order):
+def control_jet(sys, x, p, order):
     """Control jet at a covector: array of shape (k, order+1) whose
-    (i, r) entry is (d/dt)^r u_i at t = 0."""
-    fn = sys.cached(("poisson_fn", order), lambda: ex.compile_exprs(
-        [e for row in _poisson_exprs(sys, order) for e in row]))
-    return fn(np.concatenate([x, p])).reshape(sys.rank, order + 1)
+    (i, r) entry is the order-r Taylor coefficient of u_i(t) at t = 0,
+    from the Taylor evaluator of the Hamiltonian field with the controls
+    as its extra expressions."""
+    fn = sys.cached("control_fn", lambda: ex.compile_taylor(
+        ham._hamiltonian_field(sys), ham._control_exprs(sys)))
+    return fn(np.concatenate([x, p]), order + 1)[1].T
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +77,8 @@ def poisson_taylor(sys, x, p, order):
 # Variables: x in [0, n), alpha in [n, 2n), and the control jet c[i][r] at
 # 2n + r*k + i.  With S a formal time function (dS = alpha.dx, S = 0 at
 # the base point), T = sum_r S^r T_r, T_0 = X_0 + sum_i c_i0 X_i and
-# T_r = sum_i c_ir/r! X_i.  Fields are held as S-coefficients, bracketed by
+# T_r = sum_i c_ir X_i, c_ir being the order-r Taylor coefficient of u_i.
+# Fields are held as S-coefficients, bracketed by
 #   [S^r A, S^m B] = S^(r+m) [A, B] + S^(r+m-1) (m (alpha.A) B - r (alpha.B) A).
 # Only S^0 is evaluated, at the base point.  A bracket lowers the degree by
 # at most one, so level l of (ad T)^j X_a needs the degrees <= j - l only.
@@ -105,10 +88,9 @@ def _extension_term(sys, r):
     """T_r as a vector field over (x, alpha, c)."""
     def build():
         n, k = sys.dim, sys.rank
-        scale = ex.Const(1.0 / math.factorial(r))
         return geo.VectorField(tuple(ex.simplify(ex.Add(tuple(
             ([sys.X0.components[q]] if r == 0 else [])
-            + [ex.Mul((scale, ex.Var(2 * n + r * k + i),
+            + [ex.Mul((ex.Var(2 * n + r * k + i),
                        sys.frame[i].components[q])) for i in range(k)])))
             for q in range(n)))
 
@@ -235,7 +217,7 @@ def _growth_profile(sys, xs, ps, max_step, factors=(1.0,)):
             if j == 0:
                 level[i] = sys.frame_matrix(x)
                 continue
-            jet = poisson_taylor(sys, x, p, j)
+            jet = control_jet(sys, x, p, j)
             try:
                 if j == 1:
                     alphas[i] = _time_gradient(sys, x, per_level[i][0],

@@ -78,8 +78,8 @@ def _build_hamiltonian(sys):
 def _hamiltonian_field(sys):
     """The Hamiltonian vector field (dH/dp, -dH/dx) over (x, p), one
     simplified expression per phase coordinate.  It is derived once per
-    structure: the Taylor flow compiles it, and the control jet is its
-    derivative along the flow."""
+    structure, and two Taylor evaluators compile it: the flow's, and the
+    control jet's, which carries the controls along it."""
     def build():
         n = sys.dim
         H = hamiltonian(sys)

@@ -4,6 +4,8 @@
   one time.
 - lie_series: the Taylor coefficients of the flow at t = 0 from symbolic
   Lie derivatives of the Hamiltonian field.
+- poisson_chain: the Taylor coefficients of the controls at t = 0 from
+  symbolic Poisson brackets with the Hamiltonian.
 - velocity_at and admissible_extension: the velocity from row 0 of the
   control jet, and the polynomial admissible extension as a plain vector
   field over the chart.
@@ -71,6 +73,30 @@ def lie_series(sys, x0, p0, order):
                      for k, row in enumerate(rows)])
 
 
+def poisson_chain(sys, x, p, order):
+    """(k, order + 1) array whose (i, r) entry is u_i^(r) / r! at (x, p):
+    the order-r Taylor coefficient of the control u_i along the flow, from
+    u^(r+1) = {H, u^(r)} = sum_m dH/dp_m du/dx_m - dH/dx_m du/dp_m chained
+    symbolically, with H differentiated afresh for every bracket."""
+    n = sys.dim
+    H = ham.hamiltonian(sys)
+    point = np.concatenate([x, p]).tolist()
+    rows = []
+    for u in ham._control_exprs(sys):
+        chain = [u]
+        for _ in range(order):
+            terms = []
+            for m in range(n):
+                terms.append(ex.Mul((ex.diff(H, n + m),
+                                     ex.diff(chain[-1], m))))
+                terms.append(ex.Mul((ex.MINUS_ONE, ex.diff(H, m),
+                                     ex.diff(chain[-1], n + m))))
+            chain.append(ex.simplify(ex.Add(tuple(terms))))
+        rows.append([ex.evaluate(g, point) / math.factorial(r)
+                     for r, g in enumerate(chain)])
+    return np.array(rows)
+
+
 # ----------------------------------------------------------------------
 # The velocity and the admissible extension
 
@@ -78,7 +104,7 @@ def lie_series(sys, x0, p0, order):
 def velocity_at(sys, x, p):
     """gammadot = X_0(x) + sum_a u_a X_a(x), the controls u being row 0
     of the control jet."""
-    u = fl.poisson_taylor(sys, x, p, 0)[:, 0]
+    u = fl.control_jet(sys, x, p, 0)[:, 0]
     return sys.drift_at(x) + sys.frame_matrix(x) @ u
 
 
@@ -88,7 +114,7 @@ def admissible_extension(sys, x, p, order):
     s(x) = <alpha, x - x0> and the jet coefficients bound to their
     values."""
     x = np.asarray(x, dtype=float)
-    jet = fl.poisson_taylor(sys, x, p, order)
+    jet = fl.control_jet(sys, x, p, order)
     alpha = fl._time_gradient(sys, x, sys.frame_matrix(x), jet[:, 0])
     binding = {2 * sys.dim + i: float(c) for i, c in enumerate(jet.T.ravel())}
     s = ex.Add(tuple(ex.Mul((ex.Const(a), ex.Add((ex.Var(q), ex.Const(-xq)))))

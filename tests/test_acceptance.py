@@ -162,10 +162,10 @@ def test_criterion_09_contact_log_norm_oracle():
         p0 = cat.sample_covector("heisenberg5:1,2", rng)
         rel = oracles.g_rel(sys, x0, p0, ts)
         # the controls are row 0 of the control jet
-        base = j_norm(fl.poisson_taylor(sys, x0, p0, 0)[:, 0])
+        base = j_norm(fl.control_jet(sys, x0, p0, 0)[:, 0])
         for t, measured in zip(ts, rel):
             x, p, _ = oracles.transition(sys, x0, p0, t)
-            controls = fl.poisson_taylor(sys, x, p, 0)[:, 0]
+            controls = fl.control_jet(sys, x, p, 0)[:, 0]
             expected = math.log(j_norm(controls) / base)
             assert abs(measured - expected) <= 1e-6, t
 

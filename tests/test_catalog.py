@@ -49,6 +49,10 @@ def test_builtin_error_messages():
         "heisenberg5:1",
         "heisenberg5:0,1",
         "heisenberg5:1,0",
+        "heisenberg3:7",
+        "sphere2:anything",
+        "engel:",
+        "euclidean:2:psi=",
     ]
     for name in bad:
         with pytest.raises(geo.GeometryError):

@@ -177,6 +177,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["analyze", "heisenberg3", "--covector", "0.6,0.8,1",
          "--base", "0,nan,0"],
         ["analyze", "euclidean:2", "--covector", "1,,0"],
+        ["analyze", "heisenberg3:7", "--covector", "1,0,0"],
         ["analyze", "heisenberg3", "--covector", "0.6,0.8,1",
          "--base", "0,,0"],
         flat + ["--samples", "-3"],
@@ -586,6 +587,19 @@ def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
     assert len(frames) <= 65
     assert "controls_fn" not in system._cache
     assert evals[0] <= 810
+
+
+def test_analyze_compiles_one_control_evaluator(monkeypatch):
+    # The flow and the control jet each compile one Taylor evaluator,
+    # whatever the jet order a flag level asks for.
+    calls = _counting(monkeypatch, expr, "compile_taylor")
+    system = catalog.builtin("engel")
+    _, code = cli.analyze_report(system, np.zeros(4),
+                                 np.array([0.8, 0.6, 0.5, -0.4]))
+    assert code == 0
+    assert len(calls) == 2
+    assert not [key for key in system._cache if isinstance(key, tuple)
+                and any("poisson" in str(part) for part in key)]
 
 
 def test_analyze_checks_the_flag_before_integrating(monkeypatch):

@@ -142,6 +142,7 @@ def commands(tmp):
         + OVERFLOW_BASE,
         ["analyze", "euclidean:2", "--covector", "1,0,0"],
         ["analyze", "nosuchspace", "--covector", "1"],
+        ["analyze", "heisenberg3:7", "--covector", "0.6,0.8,1.1"],
     ]
     out += [["sweep", name, str(tmp / (name + ".txt"))] for name in SWEEPS]
     out += [
