@@ -107,12 +107,12 @@ def _require_ample(flag):
                                " exponent is undefined here")
 
 
-def fit_expansion_from(geodesic, flag, gram, window=FIT_WINDOW,
-                       samples=FIT_SAMPLES):
+def fit_expansion_from(geodesic, flag, gram, times):
     """Fit h(t) = log r(t) - N log t - int_0^t rho - offset by least
-    squares against 1, t^2, t^3 on a geometric grid, reading the geodesic;
-    `flag` is flag_at at the geodesic's base covector and `gram` the map
-    rho.gram_from returns for them over at least 0 and fit_times.
+    squares against 1, t^2, t^3 on `times`, the geometric grid fit_times
+    returns, reading the geodesic; `flag` is flag_at at the geodesic's
+    base covector and `gram` the map rho.gram_from returns for them over
+    at least 0 and `times`.  The grid's ends are the window.
 
     rho is dG/dtau along this very trajectory, so the running integral is
     the exact difference G(t) - G(0) at each sample time, and the offset
@@ -121,8 +121,8 @@ def fit_expansion_from(geodesic, flag, gram, window=FIT_WINDOW,
     the quadratic coefficient times -6 is the curvature trace, and the
     cubic term only absorbs the next order of the remainder."""
     sys, x0 = geodesic.sys, geodesic.x0
-    ts = np.array(fit_times(window, samples))
-    t_lo, t_hi = float(window[0]), float(window[1])
+    ts = np.array(times)
+    t_lo, t_hi = float(ts[0]), float(ts[-1])
     dimension = flag.dimension
 
     g0 = gram[0.0]
@@ -151,7 +151,7 @@ def fit_expansion_from(geodesic, flag, gram, window=FIT_WINDOW,
     return ExpansionFit(
         dimension=dimension,
         window=(t_lo, t_hi),
-        samples=int(samples),
+        samples=len(ts),
         times=ts,
         log_ratios=log_r,
         rho_integrals=integrals,
@@ -171,10 +171,10 @@ def fit_expansion(sys, x0, p0, window=FIT_WINDOW, samples=FIT_SAMPLES,
     A non-ample covector is rejected before anything is integrated."""
     flag = fl.flag_at(sys, x0, p0)
     _require_ample(flag)
-    times = [0.0] + fit_times(window, samples)
-    geodesic = ham.Geodesic(sys, x0, p0, times, tol)
-    gram = rh.gram_from(geodesic, flag, times)
-    return fit_expansion_from(geodesic, flag, gram, window, samples)
+    grid = fit_times(window, samples)
+    geodesic = ham.Geodesic(sys, x0, p0, [0.0] + grid, tol)
+    gram = rh.gram_from(geodesic, flag, [0.0] + grid)
+    return fit_expansion_from(geodesic, flag, gram, grid)
 
 
 def exponent_probe_times():
@@ -211,7 +211,7 @@ def ricci_oracle(sys, x0, p0):
     if kind == "flat":
         return 0.0
     if kind == "sphere2":
-        return 2.0 * ham.energy_at(sys, x0, p0)
+        return 2.0 * float(ham.energy_at(sys, x0, p0))
     return None
 
 

@@ -200,7 +200,8 @@ def analyze_report(system, x0, p0, window=asym.FIT_WINDOW,
     if flag.ample:
         gram_times = rh.rho_times()
         if fit:
-            gram_times += [0.0] + asym.fit_times(window, samples)
+            fit_grid = asym.fit_times(window, samples)
+            gram_times += [0.0] + fit_grid
             times += asym.exponent_probe_times()
         times += gram_times + rh.rho_flow_times()
     geodesic = ham.Geodesic(system, x0, p0, times, tol)
@@ -222,8 +223,7 @@ def analyze_report(system, x0, p0, window=asym.FIT_WINDOW,
     checks = {"rho_two_path": rho_gap <= rho_gap_tol}
 
     if fit:
-        fitted = asym.fit_expansion_from(geodesic, flag, gram, window=window,
-                                         samples=samples)
+        fitted = asym.fit_expansion_from(geodesic, flag, gram, fit_grid)
         report["fit"] = asym.fit_report(fitted)
         c_exact = float(flag.leading)
         rel_gap = abs(fitted.constant - c_exact) / c_exact
@@ -279,12 +279,12 @@ def _sweep_row(system, x0, line, window, samples, tol):
             row["status"] = "non-ample"
             return row
         row["dimension"] = str(flag.dimension)
-        times = rh.rho_times() + [0.0] + asym.fit_times(window, samples)
+        fit_grid = asym.fit_times(window, samples)
+        times = rh.rho_times() + [0.0] + fit_grid
         geodesic = ham.Geodesic(system, x0, p0, times, tol)
         gram = rh.gram_from(geodesic, flag, times)
         row["rho"] = repr(rh.rho_from(gram))
-        fitted = asym.fit_expansion_from(geodesic, flag, gram, window=window,
-                                         samples=samples)
+        fitted = asym.fit_expansion_from(geodesic, flag, gram, fit_grid)
         row["C_fit"] = repr(float(fitted.constant))
         row["trR_fit"] = repr(float(fitted.trace_r))
         row["residual"] = repr(float(fitted.residual_norm))
@@ -329,11 +329,10 @@ def cmd_expansion(args):
     if not flag.ample:
         _sys.stderr.write("non-ample covector\n")
         return EXIT_DEGENERATE
-    times = [0.0] + asym.fit_times(args.window, args.samples)
-    geodesic = ham.Geodesic(system, x0, p0, times, args.tol)
-    fitted = asym.fit_expansion_from(geodesic, flag,
-                                     rh.gram_from(geodesic, flag, times),
-                                     window=args.window, samples=args.samples)
+    grid = asym.fit_times(args.window, args.samples)
+    geodesic = ham.Geodesic(system, x0, p0, [0.0] + grid, args.tol)
+    fitted = asym.fit_expansion_from(
+        geodesic, flag, rh.gram_from(geodesic, flag, [0.0] + grid), grid)
     stream = _out_stream(args)
     asym.write_fit_csv(fitted, stream)
     if stream is not _sys.stdout:

@@ -65,9 +65,11 @@ _FUNC_EVAL = {
 
 
 class Expr:
-    """Base node.  Instances are immutable and safe to share."""
+    """Base node.  Instances are immutable and safe to share.  `simple`
+    is set on the nodes simplify returns, which it returns again as they
+    are."""
 
-    __slots__ = ("key",)
+    __slots__ = ("key", "simple")
 
     def __setattr__(self, name, value):
         raise AttributeError("expression nodes are immutable")
@@ -427,18 +429,19 @@ def simplify(e):
     of nested sums/products, like-term and like-power merging.
 
     Semantics-preserving on the evaluation domain; x^0 folds to 1 by the
-    usual symbolic convention.
+    usual symbolic convention.  The pass is idempotent, so the nodes it
+    returns are flagged simple and later passes take them as they are.
     """
     return _simp(e, {})
 
 
 def _simp(e, memo):
+    if isinstance(e, (Const, Var)) or getattr(e, "simple", False):
+        return e
     found = memo.get(id(e))
     if found is not None:
         return found
-    if isinstance(e, (Const, Var)):
-        out = e
-    elif isinstance(e, Add):
+    if isinstance(e, Add):
         out = _simp_add([_simp(t, memo) for t in e.terms])
     elif isinstance(e, Mul):
         out = _simp_mul([_simp(f, memo) for f in e.factors])
@@ -451,6 +454,7 @@ def _simp(e, memo):
         out = _fold_call(e.fn, a)
     else:
         raise TypeError("cannot simplify %r" % (e,))
+    object.__setattr__(out, "simple", True)
     memo[id(e)] = out
     return out
 
@@ -644,10 +648,11 @@ def compile_exprs(exprs):
     """Compile expressions into one positional evaluator.
 
     Returns f(values) -> float ndarray, one entry per expression, for
-    `values` any float sequence or 1-D array; the generated code runs on
-    Python floats.  A formula that overflows or leaves its domain makes
-    the whole output NaN, and a product that overflows gives inf: every
-    caller treats a non-finite entry as its own numerical failure.
+    `values` one point (nvars,) or a stack (P, nvars) of points, which
+    gives a (P, len(exprs)) array.  The generated code runs on Python
+    floats, one row at a time.  A formula that overflows or leaves its
+    domain makes that row NaN, and a product that overflows gives inf:
+    every caller treats a non-finite entry as its own numerical failure.
     Structurally identical subtrees are emitted once, so shared subtrees act
     as free common-subexpression elimination in the generated code.
     """
@@ -692,12 +697,15 @@ def compile_exprs(exprs):
     code = namespace["geoflow_compiled"]
 
     def evaluator(values):
-        args = np.asarray(values, dtype=float).tolist()
-        try:
-            out = code(args)
-        except (OverflowError, ZeroDivisionError, ValueError):
-            return np.full(len(results), np.nan)
-        return np.array(out, dtype=float)
+        values = np.asarray(values, dtype=float)
+        out = []
+        for row in np.atleast_2d(values).tolist():
+            try:
+                out.append(code(row))
+            except (OverflowError, ZeroDivisionError, ValueError):
+                out.append((math.nan,) * len(results))
+        out = np.array(out, dtype=float).reshape(len(out), len(results))
+        return out if values.ndim > 1 else out[0]
 
     return evaluator
 
@@ -709,11 +717,12 @@ def compile_taylor(field, extra=()):
     Returns jet(z0, order) -> (Z, E): row k of the (order + 1, m) array Z
     holds the order-k coefficients of z(t) at t = 0, from z_0 = z0 and
     z_{k+1} = field(z)_k / (k + 1); row k of the (order, len(extra))
-    array E holds those of the extra expressions.  The recurrences are
+    array E holds those of the extra expressions.  For a stack (P, m) of
+    points z0, Z and E gain a leading axis of P.  The recurrences are
     those of Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13.
-    As in compile_exprs, the code is generated, identical subtrees are
-    emitted once, and a formula that overflows or leaves its domain makes
-    the whole output NaN.
+    As in compile_exprs, the code is generated and runs one point at a
+    time, identical subtrees are emitted once, and a formula that
+    overflows or leaves its domain makes that point's output NaN.
     """
     # A reference is (source, None) for a constant, or (None, name) for
     # the list of a node's coefficients.
@@ -856,13 +865,18 @@ def compile_taylor(field, extra=()):
     code = namespace["geoflow_taylor"]
 
     def jet(z0, order):
-        v = [[x] for x in np.asarray(z0, dtype=float).tolist()]
-        try:
-            out = code(*v, order)
-        except (OverflowError, ZeroDivisionError, ValueError):
-            return (np.full((order + 1, m), np.nan),
-                    np.full((order, len(outputs)), np.nan))
-        return (np.array(v, dtype=float).reshape(m, order + 1).T,
-                np.array(out, dtype=float).reshape(len(outputs), order).T)
+        z0 = np.asarray(z0, dtype=float)
+        zs, es = [], []
+        for row in np.atleast_2d(z0).tolist():
+            zs.append([[x] for x in row])
+            try:
+                es.append(code(*zs[-1], order))
+            except (OverflowError, ZeroDivisionError, ValueError):
+                zs[-1] = [[math.nan] * (order + 1)] * m
+                es.append([[math.nan] * order] * len(outputs))
+        Z = np.array(zs, dtype=float).reshape(len(zs), m, order + 1)
+        E = np.array(es, dtype=float).reshape(len(es), len(outputs), order)
+        Z, E = np.swapaxes(Z, 1, 2), np.swapaxes(E, 1, 2)
+        return (Z, E) if z0.ndim > 1 else (Z[0], E[0])
 
     return jet

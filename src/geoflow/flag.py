@@ -65,10 +65,12 @@ def control_jet(sys, x, p, order):
     """Control jet at a covector: array of shape (k, order+1) whose
     (i, r) entry is the order-r Taylor coefficient of u_i(t) at t = 0,
     from the Taylor evaluator of the Hamiltonian field with the controls
-    as its extra expressions."""
+    as its extra expressions.  Stacks (P, n) of points x and p give the
+    (P, k, order+1) jets of their covectors in one evaluator call."""
     fn = sys.cached("control_fn", lambda: ex.compile_taylor(
         ham._hamiltonian_field(sys), ham._control_exprs(sys)))
-    return fn(np.concatenate([x, p]), order + 1)[1].T
+    return np.swapaxes(fn(np.concatenate([x, p], axis=-1), order + 1)[1],
+                       -1, -2)
 
 
 # ----------------------------------------------------------------------
@@ -138,28 +140,41 @@ def _extension_fn(sys, j):
         [c for W in _extension_coefficient(sys, j, 0) for c in W.components]))
 
 
-def _time_gradient(sys, x, frame, u):
-    """alpha = v/|v|^2 for the velocity v = X_0(x) + frame @ u, with `frame`
-    the frame matrix at x and u the controls there, so that the time
-    function S grows at unit rate along the trajectory."""
+def _time_gradient(drifts, frames, us):
+    """alpha = v/|v|^2 for the velocity v = X_0 + frame @ u at each point
+    of a stack, so that the time function S grows at unit rate along the
+    trajectory.  Returns the (P, n) alphas and {row: error} for the points
+    whose |v|^2 is not finite (NonFiniteError) or is at most 1e-24 times
+    the squared size of its terms X_0 and F_a u_a (FlagError, stationary
+    whatever the scale of the covector)."""
+    alphas = np.zeros(drifts.shape)
+    errors = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        v = sys.drift_at(x) + frame @ u
-        norm2 = float(np.dot(v, v))
-    if not math.isfinite(norm2):
-        raise NonFiniteError("the squared velocity is not finite at this"
-                             " covector")
-    if norm2 < 1e-24:
-        raise FlagError("the trajectory is stationary at this covector")
-    return v / norm2
+        sizes = (np.sum(np.square(drifts), axis=1) + np.sum(
+            np.square(frames * us[:, None, :]), axis=(1, 2))).tolist()
+        for i, (drift, frame, u) in enumerate(zip(drifts, frames, us)):
+            v = drift + frame @ u
+            norm2 = float(np.dot(v, v))
+            if not math.isfinite(norm2):
+                errors[i] = NonFiniteError("the squared velocity is not"
+                                           " finite at this covector")
+            elif norm2 <= 1e-24 * sizes[i]:
+                errors[i] = FlagError("the trajectory is stationary at this"
+                                      " covector")
+            else:
+                alphas[i] = v / norm2
+    return alphas, errors
 
 
 def _bracket_columns(sys, x, alpha, jet):
     """(n, k) array whose columns are (ad T)^j X_a at x, j >= 1, where
     `jet` is the control jet to order j at the point and alpha its
-    _time_gradient."""
-    j = jet.shape[1] - 1
-    vals = _extension_fn(sys, j)(np.concatenate([x, alpha, jet.T.ravel()]))
-    return vals.reshape(sys.rank, sys.dim).T
+    _time_gradient; stacks of points give a stack of arrays."""
+    j = jet.shape[-1] - 1
+    c = np.swapaxes(jet, -1, -2).reshape(jet.shape[:-2] + (-1,))
+    vals = _extension_fn(sys, j)(np.concatenate([x, alpha, c], axis=-1))
+    return np.swapaxes(vals.reshape(vals.shape[:-1] + (sys.rank, sys.dim)),
+                       -1, -2)
 
 
 # ----------------------------------------------------------------------
@@ -193,73 +208,71 @@ def _growth_profile(sys, xs, ps, max_step, factors=(1.0,)):
     levels), or the FlagError or NonFiniteError that point raised.
 
     Level 0 is the frame; the velocity behind the time gradient is read
-    from it and from row 0 of the control jet that level 1 evaluates.
-    Each level evaluates the bracket columns of every point with a
-    profile still open, normalizes them, drops the vanishing ones, and
-    takes one SVD of the accumulated columns per distinct column count
-    for all of those points; the rank of every open profile is read from
-    it.  A profile can pause for one level and then resume (a level that
-    adds no direction at the point may still feed later levels), so it
-    closes at full rank or after two no-gain levels in a row, not after
-    one.  A point whose squared velocity or column norms are not finite
-    fails with NonFiniteError and never gets a rank."""
-    n = sys.dim
+    from it and from row 0 of the control jet, computed once per point to
+    the last level's order and sliced per level.  Each level evaluates the
+    columns of every point with a profile still open in one call,
+    normalizes them (a vanishing one gives a zero row, so all points have
+    as many rows), and takes one SVD of the accumulated rows of all those
+    points; the rank of every open profile is read from it.  A profile
+    can pause for one level and then resume (a level that adds no
+    direction at the point may still feed later levels), so it closes at
+    full rank or after two no-gain levels in a row, not after one.  A
+    point whose squared velocity or column norms are not finite fails
+    with NonFiniteError and never gets a rank."""
+    n, k = sys.dim, sys.rank
     profiles = [tuple([] for _ in factors) for _ in xs]
     per_level = [[] for _ in xs]
-    rows = [np.empty((0, n)) for _ in xs]
-    alphas = {}
+    rows = np.empty((len(xs), 0, n))
     failed = {}
     for j in range(max_step):
-        level = {}
-        for i, (x, p) in enumerate(zip(xs, ps)):
-            if i in failed or all(_closed(r, n) for r in profiles[i]):
-                continue
-            if j == 0:
-                level[i] = sys.frame_matrix(x)
-                continue
-            jet = control_jet(sys, x, p, j)
-            try:
-                if j == 1:
-                    alphas[i] = _time_gradient(sys, x, per_level[i][0],
-                                               jet[:, 0])
-                level[i] = _bracket_columns(sys, x, alphas[i], jet)
-            except (FlagError, NonFiniteError) as err:
-                failed[i] = err
-        if not level:
+        live = [i for i in range(len(xs)) if i not in failed
+                and not all(_closed(r, n) for r in profiles[i])]
+        if j == 1 and live:
+            jets = control_jet(sys, xs, ps, max_step - 1)
+            alphas, errors = _time_gradient(sys.drift_at(xs), frames,
+                                            jets[:, :, 0])
+            failed.update((i, errors[i]) for i in live if i in errors)
+            live = [i for i in live if i not in failed]
+        if not live:
             break
-        # One contiguous row per bracket column: each norm is then the
-        # same dot product numpy.linalg.norm takes of one column.
-        R = np.array([C.T for C in level.values()])
+        if j == 0:
+            C = frames = sys.frame_matrix(xs)
+        else:
+            C = _bracket_columns(sys, xs[live], alphas[live],
+                                 jets[live, :, :j + 1])
+        # One contiguous row per column: each norm is then the same dot
+        # product numpy.linalg.norm takes of one column.
+        R = np.swapaxes(C, 1, 2)
         with np.errstate(over="ignore"):
             norms = np.sqrt((R[:, :, None, :] @ R[:, :, :, None])[:, :, 0, 0])
-        by_count = {}
-        for i, Ri, ni in zip(level, R, norms):
-            # A column that is not finite has a norm that is not either.
-            if not np.all(np.isfinite(ni)):
+        # A column that is not finite has a norm that is not either.
+        finite = np.all(np.isfinite(norms), axis=1)
+        for i, ok, Ci in zip(live, finite, C):
+            if ok:
+                per_level[i].append(Ci)
+            else:
                 failed[i] = NonFiniteError(
                     "level %d column norms are not finite at this covector"
                     % (j + 1))
-                continue
-            per_level[i].append(level[i])
-            keep = ni > 0.0
-            rows[i] = np.concatenate([rows[i], Ri[keep] / ni[keep, None]])
-            by_count.setdefault(len(rows[i]), []).append(i)
-        for group in by_count.values():
-            sv = np.linalg.svd(np.swapaxes(
-                np.array([rows[i] for i in group]), 1, 2), compute_uv=False)
-            by_factor = [np.sum(sv > RANK_TOL * factor * sv[:, :1], axis=1)
-                         for factor in factors]
-            for g, i in enumerate(group):
-                for ranks, counts in zip(profiles[i], by_factor):
-                    if _closed(ranks, n):
-                        continue
-                    r = int(counts[g])
-                    if j == 0 and r < sys.rank:
-                        failed[i] = FlagError(
-                            "frame fields are dependent at %s"
-                            % (xs[i].tolist(),))
-                        break
-                    ranks.append(r)
+        live = [i for i in live if i not in failed]
+        R, norms = R[finite], norms[finite, :, None]
+        rows = np.concatenate([rows, np.zeros((len(xs), k, n))], axis=1)
+        rows[live, -k:] = np.divide(R, norms, out=np.zeros_like(R),
+                                    where=norms > 0.0)
+        sv = np.linalg.svd(np.swapaxes(rows[live], 1, 2), compute_uv=False)
+        by_factor = [np.sum(sv > RANK_TOL * factor * sv[:, :1], axis=1)
+                     for factor in factors]
+        for g, i in enumerate(live):
+            for ranks, counts in zip(profiles[i], by_factor):
+                if _closed(ranks, n):
+                    continue
+                r = int(counts[g])
+                if j == 0 and r < k:
+                    failed[i] = FlagError(
+                        "frame fields are dependent at %s"
+                        % (xs[i].tolist(),))
+                    break
+                ranks.append(r)
     return [failed[i] if i in failed else (
         tuple(tuple(r) for r in profiles[i]),
         tuple(per_level[i][:len(profiles[i][0])]))

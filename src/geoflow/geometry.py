@@ -21,7 +21,12 @@ __all__ = [
 
 
 class GeometryError(ValueError):
-    pass
+    """A structure or point the geometry cannot use; `index` is the row of
+    the failing point when a stack of points was given."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -112,11 +117,14 @@ class ControlSystem:
             self._cache[key] = value
         return value
 
+    # Like compiled expressions, these take one point x or a stack (P, n).
+
     def frame_matrix(self, x):
         """Frame field values at x as an (n, k) matrix of columns."""
         fn = self.cached("frame_fn", lambda: ex.compile_exprs(
             [c for f in self.frame for c in f.components]))
-        return fn(x).reshape(self.rank, self.dim).T
+        return np.swapaxes(fn(x).reshape(np.shape(x)[:-1]
+                                         + (self.rank, self.dim)), -1, -2)
 
     def drift_at(self, x):
         fn = self.cached("drift_fn",
@@ -124,16 +132,19 @@ class ControlSystem:
         return fn(x)
 
     def density_at(self, x):
+        """The density at x; GeometryError at the first point where it is
+        not finite or not positive."""
         fn = self.cached("density_fn",
                          lambda: ex.compile_exprs([self.density]))
-        value = fn(x)[0]
-        if not np.isfinite(value):
-            raise GeometryError("density is not finite at %s"
-                                % (np.asarray(x).tolist(),))
-        if not value > 0.0:
-            raise GeometryError("density is not positive at %s"
-                                % (np.asarray(x).tolist(),))
-        return value
+        values = fn(x)[..., 0]
+        bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
+        if bad.size:
+            i = int(bad[0])
+            raise GeometryError("density is %s at %s" % (
+                "not positive" if np.isfinite(np.ravel(values)[i])
+                else "not finite",
+                np.reshape(x, (-1, self.dim))[i].tolist()), index=i)
+        return values
 
 
 @dataclass(frozen=True)
@@ -177,33 +188,38 @@ def aux_frame_at(sys, x, complement=None):
     the chosen constant coordinate directions, and the last column is
     rescaled so that density(x) * det(Y) = 1.
 
-    `complement` fixes the coordinate indices (reuse the base-point choice
-    along a geodesic); by default a greedy max-|det| choice is made.
-    Raises GeometryError when the requested completion is degenerate, which
-    is the signal to re-pivot.
+    A stack (P, n) of points x gives a stack of bases, from one frame,
+    determinant and density call.  `complement` fixes the coordinate
+    indices (reuse the base-point choice along a geodesic); by default a
+    greedy max-|det| choice is made at the (first) point.  Raises
+    GeometryError at the first point whose completion is degenerate,
+    which is the signal to re-pivot, or whose density fails.
     """
     x = np.asarray(x, dtype=float)
     n, k = sys.dim, sys.rank
-    F = sys.frame_matrix(x)
+    xs = np.reshape(x, (-1, n))
+    F = sys.frame_matrix(xs)
     if complement is None:
-        complement = () if k == n else _greedy_complement(F, n, k)
+        complement = () if k == n else _greedy_complement(F[0], n, k)
     complement = tuple(complement)
     if len(complement) != n - k:
         raise GeometryError("complement must list %d coordinate indices" % (n - k))
-    Y = np.zeros((n, n))
-    Y[:, :k] = F
+    Y = np.zeros((len(xs), n, n))
+    Y[:, :, :k] = F
     for c, idx in enumerate(complement):
-        Y[idx, k + c] = 1.0
-    det0 = float(np.linalg.det(Y))
-    col_scale = np.prod(np.linalg.norm(Y, axis=0))
-    if abs(det0) < 1e-12 * max(col_scale, 1e-300):
+        Y[:, idx, k + c] = 1.0
+    det0 = np.linalg.det(Y)
+    col_scale = np.prod(np.linalg.norm(Y, axis=1), axis=1)
+    bad = np.flatnonzero(np.abs(det0) < 1e-12 * np.maximum(col_scale, 1e-300))
+    end = int(bad[0]) if bad.size else len(xs)
+    # The density of the points before the first degenerate one.
+    m = sys.density_at(xs[:end])
+    if bad.size:
         raise GeometryError(
             "degenerate completion %r at %s; choose a different complement"
-            % (complement, x.tolist()))
-    m = sys.density_at(x)
-    zeta = 1.0 / (m * det0)
-    Y[:, -1] = Y[:, -1] * zeta
-    return AuxFrame(matrix=Y, complement=complement)
+            % (complement, xs[end].tolist()), index=end)
+    Y[:, :, -1] *= (1.0 / (m * det0))[:, None]
+    return AuxFrame(matrix=Y if x.ndim > 1 else Y[0], complement=complement)
 
 
 # ----------------------------------------------------------------------

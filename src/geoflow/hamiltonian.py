@@ -105,8 +105,9 @@ def _taylor_fn(sys):
 
 
 def energy_at(sys, x, p):
+    """H at the covector (x, p), or at each covector of stacks (P, n)."""
     fn = sys.cached("ham_fn", lambda: ex.compile_exprs([hamiltonian(sys)]))
-    return float(fn(np.concatenate([x, p]))[0])
+    return fn(np.concatenate([x, p], axis=-1))[..., 0]
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +151,8 @@ def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL):
     """Phase states (x, p) as a (len(times), 2n) array and the full 2n-by-2n
     variational transition matrices as a (len(times), 2n, 2n) array, at
     the requested times (any signs, any order, repeats allowed), in the
-    order of `times`.  The energy is checked at every distinct time.
+    order of `times`.  The energy is checked at every distinct time, with
+    one evaluator call per batch of times a jet serves.
 
     One jet at t = 0 serves both signs of time; times beyond its step
     take one more jet per step outward.  A time s from a jet's point is
@@ -161,16 +163,18 @@ def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL):
     z0 = np.concatenate([x0, p0]).astype(float)
     e0 = energy_at(sys, z0[:n], z0[n:])
 
-    def checked(t, z):
-        # z, once its energy is within ENERGY_SLACK of the start's; a
-        # non-finite energy never is.
-        drift = abs(energy_at(sys, z[:n], z[n:]) - e0)
-        if not drift <= ENERGY_SLACK * (1.0 + abs(e0)):
-            raise IntegrationError(
-                "energy drifted by %r at t=%r" % (drift, t), t_last=t)
-        return z
+    def checked(ts, Z):
+        # Z at the times ts, once each energy is within ENERGY_SLACK of
+        # the start's, in order; a non-finite energy never is.
+        drifts = np.abs(energy_at(sys, Z[:, :n], Z[:, n:]) - e0)
+        for t, drift in zip(ts, drifts.tolist()):
+            if not drift <= ENERGY_SLACK * (1.0 + abs(e0)):
+                raise IntegrationError(
+                    "energy drifted by %r at t=%r" % (drift, t), t_last=t)
+        return Z
 
-    found = {0.0: (checked(0.0, z0), np.eye(m))} if 0.0 in times else {}
+    found = ({0.0: (checked([0.0], z0[None])[0], np.eye(m))}
+             if 0.0 in times else {})
     if any(t != 0.0 for t in times):
         start = _jet(sys, z0, np.eye(m), 0.0, tol)
     jets = 1
@@ -197,8 +201,9 @@ def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL):
                 acc = (acc + row) * s
             Z = z + acc[:, :m]
             Ms = (np.eye(m) + acc[:, m:].reshape(-1, m, m)) @ M
-            for u, zu, Mu in zip(inside, Z, Ms):
-                found[u] = (checked(u, zu), Mu)
+            for u, zu, Mu in zip(inside, checked(inside, Z[:len(inside)]),
+                                 Ms):
+                found[u] = (zu, Mu)
             if targets:
                 t, z, M = t + sign * h, Z[-1], Ms[-1]
                 C, h = _jet(sys, z, M, t, tol)

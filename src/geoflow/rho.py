@@ -22,12 +22,13 @@ running several stages integrates once and builds one flag.  rho_from
 and the expansion fit read G from the one {tau: G(tau)} map gram_from
 returns.  The (sys, x0, p0) entry points build what they read.
 
-Each stage stacks its per-point linear algebra: gram_from takes the rank
-profiles of all its points level by level and runs each step of the Gram
-determinants as one LAPACK or matmul call over the stack, and
-log_volume_ratios_from takes one log-determinant call for all its times.
-LAPACK treats each matrix of a stack on its own, so every value equals
-its one-point computation bit for bit.
+Each stage takes its points as one stack: gram_from evaluates the
+auxiliary bases, the rank profiles and the Gram determinants of all its
+points with one evaluator, LAPACK or matmul call per step, and
+log_volume_ratios_from takes one log-determinant call and one density
+call for all its times.  The evaluators run each point through the same
+scalar code and LAPACK treats each matrix of a stack on its own, so
+every value equals its one-point computation bit for bit.
 """
 
 from __future__ import annotations
@@ -128,14 +129,12 @@ def gram_from(geodesic, flag, times):
     distinct = sorted({float(t) for t in times}, key=lambda t: (abs(t), t))
     xs, ps, _ = geodesic.at(distinct)
     failure = None
-    aux = []
-    for t, x in zip(distinct, xs):
-        try:
-            aux.append(geo.aux_frame_at(sys, x, comp).matrix)
-        except geo.GeometryError as err:
-            failure = RhoError(
-                "auxiliary completion degenerated at t=%r: %s" % (t, err))
-            break
+    try:
+        aux = geo.aux_frame_at(sys, xs, comp).matrix
+    except geo.GeometryError as err:
+        failure = RhoError("auxiliary completion degenerated at t=%r: %s"
+                           % (distinct[err.index], err))
+        aux = geo.aux_frame_at(sys, xs[:err.index], comp).matrix
     # A point after a failing one cannot change the error raised, so each
     # check runs only on the points before the first failure so far.
     columns = []
@@ -151,9 +150,8 @@ def gram_from(geodesic, flag, times):
                 % (ranks, expected))
             break
         columns.append(per_level)
-    logs = _gram_log_of_levels(
-        np.reshape(aux[:len(columns)], (-1, sys.dim, sys.dim)), expected,
-        [np.array(level) for level in zip(*columns)])
+    logs = _gram_log_of_levels(aux[:len(columns)], expected,
+                               [np.array(level) for level in zip(*columns)])
     if failure is not None:
         raise failure
     return dict(zip(distinct, (0.5 * sum(row) for row in logs.tolist())))
@@ -188,22 +186,21 @@ def rho(sys, x0, p0):
 
 def log_volume_ratios_from(geodesic, times):
     """log of the volume ratio at each time, read from the geodesic's
-    transition matrices, with one log-determinant call for all of them.
-    A density that fails at a point of the flow raises RhoError naming
-    its time; one that fails at the base point is an input error."""
+    transition matrices, with one log-determinant call and one density
+    call for all of them.  A density that fails at a point of the flow
+    raises RhoError naming its time; one that fails at the base point is
+    an input error."""
     sys = geodesic.sys
     log_m0 = math.log(sys.density_at(geodesic.x0))
     xs, _, M = geodesic.at(times)
     _, lds = ham.signed_log_det(ham.vertical_jacobian(M, sys.dim))
-    out = []
-    for t, ld, x in zip(times, lds, xs):
-        try:
-            density = sys.density_at(x)
-        except geo.GeometryError as err:
-            raise RhoError("along the flow at t=%r: %s"
-                           % (float(t), err)) from None
-        out.append(ld + math.log(density) - log_m0)
-    return np.array(out)
+    try:
+        densities = sys.density_at(xs)
+    except geo.GeometryError as err:
+        raise RhoError("along the flow at t=%r: %s"
+                       % (float(times[err.index]), err)) from None
+    return np.array([ld + math.log(m) - log_m0
+                     for ld, m in zip(lds.tolist(), densities.tolist())])
 
 
 def log_volume_ratios(sys, x0, p0, times):

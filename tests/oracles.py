@@ -115,7 +115,8 @@ def admissible_extension(sys, x, p, order):
     values."""
     x = np.asarray(x, dtype=float)
     jet = fl.control_jet(sys, x, p, order)
-    alpha = fl._time_gradient(sys, x, sys.frame_matrix(x), jet[:, 0])
+    [alpha], _ = fl._time_gradient(sys.drift_at(x[None]),
+                                   sys.frame_matrix(x[None]), jet[None, :, 0])
     binding = {2 * sys.dim + i: float(c) for i, c in enumerate(jet.T.ravel())}
     s = ex.Add(tuple(ex.Mul((ex.Const(a), ex.Add((ex.Var(q), ex.Const(-xq)))))
                      for q, (a, xq) in enumerate(zip(alpha, x))))

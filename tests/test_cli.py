@@ -565,7 +565,9 @@ def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
     # Level 0 of a flag point is its frame, and the level-1 velocity reads
     # that frame and row 0 of the control jet.  A separate controls
     # evaluator and a second frame evaluation per point made 99 frame
-    # evaluations and 876 evaluator calls here.
+    # evaluations and 876 evaluator calls here, and evaluating one point
+    # per call made 64 and 353: each stage now evaluates its points as one
+    # stack per call.
     frames = _counting(monkeypatch, geo.ControlSystem, "frame_matrix")
     evals = [0]
     inner = expr.compile_exprs
@@ -584,9 +586,9 @@ def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
     _, code = cli.analyze_report(system, np.zeros(4),
                                  np.array([0.8, 0.6, 0.5, -0.4]))
     assert code == 0
-    assert len(frames) <= 65
+    assert len(frames) <= 5
     assert "controls_fn" not in system._cache
-    assert evals[0] <= 810
+    assert evals[0] <= 27
 
 
 def test_analyze_compiles_one_control_evaluator(monkeypatch):

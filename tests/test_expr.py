@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 from geoflow import expr as ex
+from geoflow import geometry as geo
+from geoflow import hamiltonian as ham
+
+import oracles
 
 
 RNG = np.random.default_rng(20260818)
@@ -144,3 +148,30 @@ def test_compile_taylor_failures_give_nan():
                                      [ex.parse("x1^2", ["x1"])])([x1], 4)
             assert Z.shape == (5, 1) and E.shape == (4, 1)
             assert np.all(np.isnan(Z)) and np.all(np.isnan(E)), text
+
+
+def test_a_stack_is_evaluated_row_by_row():
+    # Every node kind of the Hamiltonian field, at 5 covectors: a stack
+    # gives the rows of its points bit for bit, and a row that overflows
+    # (exp(0.1 x1) at x1 = 1e4) is NaN without touching the others.
+    sys = geo.load_structure(oracles.NODE_KINDS)
+    field = ham._hamiltonian_field(sys)
+    rng = np.random.default_rng(3)
+    points = np.column_stack([rng.uniform(0.2, 2.0, 5),
+                              rng.uniform(-1.0, 1.0, (5, 3))])
+    points[2, 0] = 1e4
+    fn, jet = ex.compile_exprs(field), ham._taylor_fn(sys)
+    rows = [fn(z) for z in points]
+    got = fn(points)
+    assert got.shape == (5, 4)
+    assert np.all(np.isnan(got[2])) and np.all(np.isnan(rows[2]))
+    assert np.array_equal(got, rows, equal_nan=True)
+    assert np.all(np.isfinite(np.delete(got, 2, axis=0)))
+    Z, E = jet(points, 4)
+    assert Z.shape == (5, 5, 4) and E.shape == (5, 4, 16)
+    assert np.all(np.isnan(Z[2])) and np.all(np.isnan(E[2]))
+    for z, Zi, Ei in zip(points, Z, E):
+        one = jet(z, 4)
+        assert np.array_equal(Zi, one[0], equal_nan=True)
+        assert np.array_equal(Ei, one[1], equal_nan=True)
+    assert np.all(np.isfinite(np.delete(Z, 2, axis=0)))

@@ -53,9 +53,8 @@ def test_heisenberg_flag_straight_line():
 
 
 def test_growth_profile_stacks_ragged_levels(monkeypatch):
-    # Along the straight line one level-1 bracket vanishes and is dropped,
-    # so the level-1 stacks of the two points have 3 and 4 columns: one
-    # SVD at level 0 and one per column count at level 1.
+    # Along the straight line one level-1 bracket vanishes and becomes a
+    # zero row, so the two points still share one SVD per level.
     sys = catalog.builtin("heisenberg3")
     points = [(np.zeros(3), np.array([1.0, 0.0, 0.0])),
               (np.zeros(3), np.array([1.0, 0.0, 1.0]))]
@@ -72,7 +71,7 @@ def test_growth_profile_stacks_ragged_levels(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     xs, ps = (np.array(stack) for stack in zip(*points))
     stacked = fl._growth_profile(sys, xs, ps, 5, factors)
-    assert sorted(svds) == [(1, 3, 3), (1, 3, 4), (2, 3, 2)]
+    assert svds == [(2, 3, 2), (2, 3, 4)]
     for (profiles, columns), (one_profiles, one_columns) in zip(stacked,
                                                                 singles):
         assert profiles == one_profiles
@@ -134,6 +133,20 @@ def test_stationary_covector_raises():
     sys = catalog.builtin("heisenberg3")
     with pytest.raises(fl.FlagError):
         fl.flag_at(sys, np.zeros(3), np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("name, p0", [
+    ("heisenberg3", [1.0, 0.0, 0.0]), ("heisenberg3", [0.6, 0.8, 1.1]),
+    ("engel", [0.8, 0.6, 0.5, -0.4])])
+def test_flag_does_not_depend_on_the_covector_scale(name, p0):
+    # Stationary is a shape, not a size: the squared velocity is compared
+    # with the squared size of its terms.
+    sys = catalog.builtin(name)
+    x0 = np.zeros(sys.dim)
+    want = fl.flag_at(sys, x0, np.array(p0))
+    for e in range(-13, 4):
+        got = fl.flag_at(sys, x0, 10.0 ** e * np.array(p0))
+        assert (got.growth, got.leading) == (want.growth, want.leading), e
 
 
 def test_dependent_frame_names_the_point():
@@ -337,7 +350,8 @@ def test_bracket_columns_match_brackets_of_the_extension(name):
         x = rng.uniform(-0.6, 0.6, size=sys.dim)
         p = catalog.sample_covector(name, rng)
         u = fl.control_jet(sys, x, p, 0)[:, 0]
-        alpha = fl._time_gradient(sys, x, sys.frame_matrix(x), u)
+        [alpha], _ = fl._time_gradient(sys.drift_at(x[None]),
+                                       sys.frame_matrix(x[None]), u[None])
         for j in range(1, fl.flag_at(sys, x, p).step):
             got = fl._bracket_columns(sys, x, alpha,
                                       fl.control_jet(sys, x, p, j))
@@ -372,6 +386,30 @@ def _distinct_nodes(exprs):
         elif isinstance(e, ex.Pow):
             stack.append(e.base)
     return len(seen)
+
+
+@pytest.mark.parametrize("name", ["euclidean:3", "sphere2", "heisenberg3",
+                                  "heisenberg5:1,2", "engel", "martinet"])
+def test_simplify_output_is_a_fixed_point(name):
+    # simplify takes the nodes it returned earlier as they are; that is
+    # sound because re-simplifying them changes nothing.  substitute with
+    # no replacements rebuilds a tree without the flag.
+    sys = catalog.martinet() if name == "martinet" else catalog.builtin(name)
+    exprs = list(ham._hamiltonian_field(sys))
+    for X in sys.frame:
+        for Y in sys.frame:
+            exprs += geo.lie_bracket(X, Y).components
+    for j in range(1, 4):
+        fl._extension_fn(sys, j)
+    for key, fields in sys._cache.items():
+        if key[0] == "ext_T":
+            exprs += fields.components
+        elif key[0] == "ext_coef":
+            exprs += [c for W in fields for c in W.components]
+    assert len(exprs) > 10 * sys.dim
+    for e in exprs:
+        copy = ex.substitute(e, {})
+        assert ex.simplify(copy) == e
 
 
 def test_engel_level_two_expressions_stay_small():

@@ -225,8 +225,12 @@ def test_energy_drift_raises_at_the_first_drifting_time(monkeypatch):
     calls = []
 
     def drifting_from_third(values):
-        calls.append(values)
-        return energy(values) + (1e-6 if len(calls) >= 3 else 0.0)
+        # One call per batch of times: count its covectors, one per row.
+        out = energy(values)
+        start = len(calls)
+        calls.extend(np.reshape(values, (-1, 8)))
+        drifting = np.arange(start, len(calls)) >= 2
+        return out + np.where(drifting, 1e-6, 0.0).reshape(out.shape)
 
     monkeypatch.setitem(sys._cache, "ham_fn", drifting_from_third)
     with pytest.raises(ham.IntegrationError,
@@ -246,7 +250,8 @@ def test_non_finite_energy_raises(monkeypatch):
 
     def nan_after_first(values):
         calls.append(values)
-        return energy(values) if len(calls) == 1 else np.full(1, np.nan)
+        out = energy(values)
+        return out if len(calls) == 1 else np.full_like(out, np.nan)
 
     monkeypatch.setitem(sys._cache, "ham_fn", nan_after_first)
     with pytest.raises(ham.IntegrationError,

@@ -100,6 +100,9 @@ def commands(tmp):
         ["analyze", "engel", "--covector", "0,1,0,0"],
         ["analyze", "--file", martinet, "--covector", "1,1,0.7"],
         ["analyze", "--file", martinet, "--covector", "1,0.3,0.2"],
+        # the same straight-line covector at two small scales
+        ["analyze", "heisenberg3", "--covector", "1e-13,0,0"],
+        ["analyze", "heisenberg3", "--covector", "1e-12,0,0"],
         # off-origin bases
         ["analyze", "euclidean:2:psi=0.3*x1", "--covector", "1,0",
          "--base", "0.1,-0.2"],
