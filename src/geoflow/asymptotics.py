@@ -11,8 +11,8 @@ and least-squares fits what remains to recover C and trR.
 
 rho is the derivative of the Gram scalar G along the geodesic (see
 geoflow.rho), so the factor exp(int_0^t rho) is read exactly as
-exp(G(t) - G(0)) at each sample time, with no quadrature.  Every time the
-fit needs comes from one Geodesic, integrated once per sign of time.
+exp(G(t) - G(0)) at each sample time, with no quadrature.  The fit reads
+the Geodesic the Gram pass read, which serves each time once.
 
 The chart ratio r(t) = m(gamma(t)) |det J_v(t)| / m(x0) carries one
 structure-dependent constant beyond the canonical one: measuring the
@@ -43,8 +43,8 @@ from . import rho as rh
 
 __all__ = [
     "AsymptoticsError", "ExpansionFit", "fit_times", "fit_expansion_from",
-    "fit_expansion", "exponent_probe_times", "exponent_probe_from",
-    "exponent_probe", "ricci_oracle", "fit_report", "write_fit_csv",
+    "fit_expansion", "exponent_probe_from", "exponent_probe",
+    "ricci_oracle", "fit_report", "write_fit_csv",
 ]
 
 # The expansion fit samples FIT_SAMPLES times on a geometric grid over
@@ -120,14 +120,13 @@ def fit_expansion_from(geodesic, flag, gram, times):
     log C (directly comparable with the exact Young diagram constant),
     the quadratic coefficient times -6 is the curvature trace, and the
     cubic term only absorbs the next order of the remainder."""
-    sys, x0 = geodesic.sys, geodesic.x0
     ts = np.array(times)
     t_lo, t_hi = float(ts[0]), float(ts[-1])
     dimension = flag.dimension
 
     g0 = gram[0.0]
     integrals = np.array([gram[float(t)] for t in ts]) - g0
-    offset = 2.0 * g0 - 2.0 * math.log(sys.density_at(x0))
+    offset = 2.0 * g0 - 2.0 * geodesic.log_density0
     log_r = rh.log_volume_ratios_from(geodesic, ts)
     h = log_r - dimension * np.log(ts) - integrals - offset
 
@@ -167,19 +166,14 @@ def fit_expansion_from(geodesic, flag, gram, times):
 
 def fit_expansion(sys, x0, p0, window=FIT_WINDOW, samples=FIT_SAMPLES,
                   tol=ham.DEFAULT_TOL):
-    """fit_expansion_from on a geodesic integrated for its times alone.
-    A non-ample covector is rejected before anything is integrated."""
+    """fit_expansion_from on a geodesic of its own.  A non-ample covector
+    is rejected before anything is integrated."""
     flag = fl.flag_at(sys, x0, p0)
     _require_ample(flag)
     grid = fit_times(window, samples)
-    geodesic = ham.Geodesic(sys, x0, p0, [0.0] + grid, tol)
+    geodesic = ham.Geodesic(sys, x0, p0, tol)
     gram = rh.gram_from(geodesic, flag, [0.0] + grid)
     return fit_expansion_from(geodesic, flag, gram, grid)
-
-
-def exponent_probe_times():
-    """The trajectory times exponent_probe_from reads."""
-    return list(PROBE_GRID)
 
 
 def exponent_probe_from(geodesic):
@@ -192,9 +186,8 @@ def exponent_probe_from(geodesic):
 
 
 def exponent_probe(sys, x0, p0):
-    """exponent_probe_from on a geodesic integrated for its times alone."""
-    geodesic = ham.Geodesic(sys, x0, p0, exponent_probe_times())
-    return exponent_probe_from(geodesic)
+    """exponent_probe_from on a geodesic of its own."""
+    return exponent_probe_from(ham.Geodesic(sys, x0, p0))
 
 
 def ricci_oracle(sys, x0, p0):

@@ -190,21 +190,13 @@ def analyze_report(system, x0, p0, window=asym.FIT_WINDOW,
     # for its growth along the flow.  Only the base flag's FlagError is a
     # degenerate covector; one raised along the flow is a numerical
     # failure.  One geodesic serves every stage, and one Gram pass serves
-    # rho and the fit: collect the times each one reads.
+    # rho and the fit.
     try:
         flag = fl.flag_at(system, x0, p0)
     except fl.FlagError as err:
         report["status"] = "degenerate covector: %s" % err
         return report, EXIT_DEGENERATE
-    times = fl.equiregular_times(window[1])
-    if flag.ample:
-        gram_times = rh.rho_times()
-        if fit:
-            fit_grid = asym.fit_times(window, samples)
-            gram_times += [0.0] + fit_grid
-            times += asym.exponent_probe_times()
-        times += gram_times + rh.rho_flow_times()
-    geodesic = ham.Geodesic(system, x0, p0, times, tol)
+    geodesic = ham.Geodesic(system, x0, p0, tol)
     verdict, growths = fl.equiregular_from(geodesic, flag, window[1])
     report["flag"] = _flag_section(flag)
     report["equiregular"] = bool(verdict)
@@ -214,6 +206,10 @@ def analyze_report(system, x0, p0, window=asym.FIT_WINDOW,
                             else "growth vector changes along the flow")
         return report, EXIT_DEGENERATE
 
+    gram_times = rh.rho_times()
+    if fit:
+        fit_grid = asym.fit_times(window, samples)
+        gram_times += [0.0] + fit_grid
     gram = rh.gram_from(geodesic, flag, gram_times)
     rho_gram = rh.rho_from(gram)
     rho_from_flow = rh.rho_flow_from(geodesic, dimension=flag.dimension)
@@ -280,9 +276,9 @@ def _sweep_row(system, x0, line, window, samples, tol):
             return row
         row["dimension"] = str(flag.dimension)
         fit_grid = asym.fit_times(window, samples)
-        times = rh.rho_times() + [0.0] + fit_grid
-        geodesic = ham.Geodesic(system, x0, p0, times, tol)
-        gram = rh.gram_from(geodesic, flag, times)
+        geodesic = ham.Geodesic(system, x0, p0, tol)
+        gram = rh.gram_from(geodesic, flag,
+                            rh.rho_times() + [0.0] + fit_grid)
         row["rho"] = repr(rh.rho_from(gram))
         fitted = asym.fit_expansion_from(geodesic, flag, gram, fit_grid)
         row["C_fit"] = repr(float(fitted.constant))
@@ -330,7 +326,7 @@ def cmd_expansion(args):
         _sys.stderr.write("non-ample covector\n")
         return EXIT_DEGENERATE
     grid = asym.fit_times(args.window, args.samples)
-    geodesic = ham.Geodesic(system, x0, p0, [0.0] + grid, args.tol)
+    geodesic = ham.Geodesic(system, x0, p0, args.tol)
     fitted = asym.fit_expansion_from(
         geodesic, flag, rh.gram_from(geodesic, flag, [0.0] + grid), grid)
     stream = _out_stream(args)

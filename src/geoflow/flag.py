@@ -40,7 +40,7 @@ from . import hamiltonian as ham
 __all__ = [
     "FlagError", "NonFiniteError", "GeodesicFlag", "flag_at",
     "geodesic_dimension", "homogeneous_weight", "young_diagram",
-    "leading_constant", "equiregular_times", "equiregular_from",
+    "leading_constant", "equiregular_from",
     "control_jet",
 ]
 
@@ -371,19 +371,13 @@ def leading_constant(young_rows):
     return out
 
 
-def equiregular_times(t_max):
-    """The trajectory times equiregular_from reads: EQUIREGULAR_SAMPLES - 1
-    evenly spaced points of (0, t_max]."""
-    return [t_max * i / (EQUIREGULAR_SAMPLES - 1)
-            for i in range(1, EQUIREGULAR_SAMPLES)]
-
-
 def equiregular_from(geodesic, flag, t_max):
-    """Check that the growth vector is the same at several points of the
-    geodesic over [0, t_max]; `flag` is flag_at at the geodesic's base
-    covector.  Returns (verdict, growths), the base growth first."""
+    """Check that the growth vector is the same at EQUIREGULAR_SAMPLES
+    evenly spaced points of [0, t_max] along the geodesic; `flag` is
+    flag_at at its base covector.  Returns (verdict, growths), base first."""
     sys = geodesic.sys
-    x, p, _ = geodesic.at(equiregular_times(t_max))
+    x, p, _ = geodesic.at([t_max * i / (EQUIREGULAR_SAMPLES - 1)
+                           for i in range(1, EQUIREGULAR_SAMPLES)])
     # Only the growth is read here: one rank profile, no diagnostics.
     results = _first_failure_raised(_growth_profile(sys, x, p, sys.dim + 2))
     growths = [flag.growth] + [_trim(raw, sys.dim)[0]

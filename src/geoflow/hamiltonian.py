@@ -14,6 +14,7 @@ ORDER at t = 0 serves every time within its step, on either side.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -146,100 +147,123 @@ def _jet(sys, z, M, t, tol):
 
 # Jets and their sums may overflow: the finiteness and energy checks
 # classify that, so numpy stays silent.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL):
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _require_energy(ts, energies, e0):
+    """IntegrationError at the first of the times ts whose energy is not
+    within ENERGY_SLACK of the start's e0; a non-finite energy never is."""
+    drifts = np.abs(np.subtract(energies, e0))
+    bad = np.flatnonzero(~(drifts <= ENERGY_SLACK * (1.0 + abs(e0))))
+    if bad.size:
+        t, drift = ts[bad[0]], float(drifts[bad[0]])
+        raise IntegrationError(
+            "energy drifted by %r at t=%r" % (drift, t), t_last=t)
+
+
+@_quiet
+def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL, geodesic=None):
     """Phase states (x, p) as a (len(times), 2n) array and the full 2n-by-2n
     variational transition matrices as a (len(times), 2n, 2n) array, at
     the requested times (any signs, any order, repeats allowed), in the
-    order of `times`.  The energy is checked at every distinct time, with
-    one evaluator call per batch of times a jet serves.
+    order of `times`, served from and kept in `geodesic`, the Geodesic of
+    (x0, p0) at tol, or a new one.  The energy is checked at every time
+    served, with one evaluator call per batch of times a jet serves.
 
-    One jet at t = 0 serves both signs of time; times beyond its step
-    take one more jet per step outward.  A time s from a jet's point is
-    z and Phi_0 = I plus one correction each, sum_{k>=1} c_k s^k, summed
-    by Horner and added once."""
+    The jet at t = 0 serves both signs in one batch; a time beyond the
+    last jet of its sign takes one more jet per step outward, kept in the
+    geodesic's chain for that sign.  A time s from a jet's point is z and
+    Phi_0 = I plus one correction each, sum_{k>=1} c_k s^k, summed by
+    Horner and added once."""
+    g = Geodesic(sys, x0, p0, tol) if geodesic is None else geodesic
     n = sys.dim
     m = 2 * n
-    z0 = np.concatenate([x0, p0]).astype(float)
-    e0 = energy_at(sys, z0[:n], z0[n:])
-
-    def checked(ts, Z):
-        # Z at the times ts, once each energy is within ENERGY_SLACK of
-        # the start's, in order; a non-finite energy never is.
-        drifts = np.abs(energy_at(sys, Z[:, :n], Z[:, n:]) - e0)
-        for t, drift in zip(ts, drifts.tolist()):
-            if not drift <= ENERGY_SLACK * (1.0 + abs(e0)):
-                raise IntegrationError(
-                    "energy drifted by %r at t=%r" % (drift, t), t_last=t)
-        return Z
-
-    found = ({0.0: (checked([0.0], z0[None])[0], np.eye(m))}
-             if 0.0 in times else {})
-    if any(t != 0.0 for t in times):
-        start = _jet(sys, z0, np.eye(m), 0.0, tol)
-    jets = 1
-    for sign in (-1.0, 1.0):
-        targets = sorted({t for t in times if t * sign > 0}, key=abs)
-        if not targets:
+    todo = {sign: sorted({t for t in times if t * sign > 0}, key=abs)
+            for sign in (-1.0, 1.0)}
+    # (k, signs): the k-th jet of the chain of each sign, one for them all.
+    work = [(0, (-1.0, 1.0))]
+    while work:
+        k, signs = work.pop(0)
+        t, z, M, C, h = g._chains[signs[0]][k]
+        served, grown = [], []
+        for sign in signs:
+            inside = [u for u in todo[sign] if (u - t) * sign <= h]
+            todo[sign] = todo[sign][len(inside):]
+            served += inside
+            if not todo[sign]:
+                continue
+            work.append((k + 1, [sign]))
+            if k + 1 < len(g._chains[sign]):
+                continue
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise IntegrationError("flow blew up near t=%r" % t,
+                                       t_last=t)
+            # The two chains share their jet at t = 0.
+            if sum(map(len, g._chains.values())) - 1 == _MAX_JETS:
+                raise IntegrationError("jet limit reached at t=%r" % t,
+                                       t_last=t)
+            grown.append(sign)
+        offsets = [u - t for u in served] + [sign * h for sign in grown]
+        if not offsets:
             continue
-        t, z, M, (C, h) = 0.0, z0, np.eye(m), start
-        while targets:
-            inside = [u for u in targets if (u - t) * sign <= h]
-            targets = targets[len(inside):]
-            offsets = [u - t for u in inside]
-            if targets:
-                if h < 1e-14 * max(1.0, abs(t)):
-                    raise IntegrationError("flow blew up near t=%r" % t,
-                                           t_last=t)
-                if jets == _MAX_JETS:
-                    raise IntegrationError("jet limit reached at t=%r" % t,
-                                           t_last=t)
-                offsets.append(sign * h)
-            s = np.array(offsets)[:, None]
-            acc = C[-1] * s
-            for row in C[-2:0:-1]:
-                acc = (acc + row) * s
-            Z = z + acc[:, :m]
-            Ms = (np.eye(m) + acc[:, m:].reshape(-1, m, m)) @ M
-            for u, zu, Mu in zip(inside, checked(inside, Z[:len(inside)]),
-                                 Ms):
-                found[u] = (zu, Mu)
-            if targets:
-                t, z, M = t + sign * h, Z[-1], Ms[-1]
-                C, h = _jet(sys, z, M, t, tol)
-                jets += 1
-    return (np.array([found[t][0] for t in times]).reshape(len(times), m),
-            np.array([found[t][1] for t in times]).reshape(-1, m, m))
+        s = np.array(offsets)[:, None]
+        acc = C[-1] * s
+        for c in C[-2:0:-1]:
+            acc += c
+            acc *= s
+        Z = z + acc[:, :m]
+        MZ = (np.eye(m) + acc[:, m:].reshape(-1, m, m)) @ M
+        q = len(served)
+        _require_energy(served, energy_at(sys, Z[:q, :n], Z[:q, n:]), g._e0)
+        g._row.update(zip(served, range(len(g._z), len(g._z) + q)))
+        g._z = np.concatenate([g._z, Z[:q]])
+        g._M = np.concatenate([g._M, MZ[:q]])
+        for sign, zu, Mu in zip(grown, Z[q:], MZ[q:]):
+            u = t + sign * h
+            g._chains[sign].append((u, zu, Mu) + _jet(sys, zu, Mu, u, tol))
+    rows = [g._row[t] for t in times]
+    return g._z[rows], g._M[rows]
 
 
 class Geodesic:
-    """The trajectory of one covector and its variational matrix, flowed
-    in one call at the union of the times every stage reading it asks for.
+    """The trajectory of one covector and its variational matrix, served
+    at any times, in any number of calls.
 
-    Stages split into the times they need and a function of the geodesic;
-    a caller collects the times first, builds one Geodesic, and each stage
-    reads its (x, p, M) stacks back by exact requested time.  Time 0 is
-    always available."""
+    The constructor checks the energy at the start and computes the jet
+    at t = 0.  `at` serves each time once, through transition_many, which
+    extends the chain of jets of each sign outward as far as the times
+    reach; the served states and the jets are kept, so what a stage reads
+    does not depend on which stages read before it."""
 
-    def __init__(self, sys, x0, p0, times, tol=DEFAULT_TOL):
+    @_quiet
+    def __init__(self, sys, x0, p0, tol=DEFAULT_TOL):
         self.sys = sys
         self.x0 = np.asarray(x0, dtype=float)
         self.p0 = np.asarray(p0, dtype=float)
-        distinct = sorted({0.0, *(float(t) for t in times)})
-        self._index = {t: i for i, t in enumerate(distinct)}
-        self._z, self._M = transition_many(sys, self.x0, self.p0, distinct,
-                                           tol)
+        self.tol = tol
+        self._z0 = np.concatenate([self.x0, self.p0])
+        self._e0 = energy_at(sys, self.x0, self.p0)
+        _require_energy([0.0], [self._e0], self._e0)
+        eye = np.eye(self._z0.size)
+        start = (0.0, self._z0, eye) + _jet(sys, self._z0, eye, 0.0, tol)
+        self._chains = {-1.0: [start], 1.0: [start]}
+        # The served states, one row per time in the order served.
+        self._row = {0.0: 0}
+        self._z, self._M = self._z0[None], eye[None]
+
+    @functools.cached_property
+    def log_density0(self):
+        """log m(x0), the density at the base point; GeometryError where
+        it is not finite or not positive."""
+        return math.log(self.sys.density_at(self.x0))
 
     def at(self, times):
-        """(x, p, M) stacks at times this geodesic was built for, one row
-        per time in the order given."""
-        rows = []
-        for t in times:
-            i = self._index.get(float(t))
-            if i is None:
-                raise KeyError("t=%r is not among the times this geodesic"
-                               " was integrated to" % (t,))
-            rows.append(i)
+        """(x, p, M) stacks, one row per time in the order given."""
+        times = [float(t) for t in times]
+        new = sorted({t for t in times if t not in self._row})
+        if new:
+            transition_many(self.sys, self.x0, self.p0, new, self.tol, self)
+        rows = [self._row[t] for t in times]
         z = self._z[rows]
         return z[:, :self.sys.dim], z[:, self.sys.dim:], self._M[rows]
 

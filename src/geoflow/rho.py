@@ -15,12 +15,12 @@ That collapses every rho evaluation into finite differences of a single
 scalar function along the flow, and makes the running integral of rho an
 exact difference G(t) - G(0).
 
-Every stage reads a hamiltonian.Geodesic: `*_times` gives the trajectory
-times a stage needs and `*_from` computes it from a geodesic that holds
-them and, where it needs one, the flag at the base covector, so a caller
-running several stages integrates once and builds one flag.  rho_from
-and the expansion fit read G from the one {tau: G(tau)} map gram_from
-returns.  The (sys, x0, p0) entry points build what they read.
+Every stage reads a hamiltonian.Geodesic: `*_from` asks the geodesic
+for the times it needs and takes, where it needs one, the flag at the
+base covector, so a caller running several stages on one geodesic and
+one flag flows each covector once.  rho_from and the expansion fit read
+G from the one {tau: G(tau)} map gram_from returns, over rho_times and
+the fit's grid.  The (sys, x0, p0) entry points build what they read.
 
 Each stage takes its points as one stack: gram_from evaluates the
 auxiliary bases, the rank profiles and the Gram determinants of all its
@@ -43,8 +43,7 @@ from . import hamiltonian as ham
 
 __all__ = [
     "RhoError", "gram_from", "rho_times", "rho_from", "rho",
-    "log_volume_ratios_from", "log_volume_ratios", "rho_flow_times",
-    "rho_flow_from",
+    "log_volume_ratios_from", "log_volume_ratios", "rho_flow_from",
 ]
 
 # Step of the finite differences of G that give rho.
@@ -180,8 +179,7 @@ def rho(sys, x0, p0):
     extrapolated central differences along the flow."""
     flag = fl.flag_at(sys, x0, p0)
     _require_ample(flag)
-    geodesic = ham.Geodesic(sys, x0, p0, rho_times())
-    return rho_from(gram_from(geodesic, flag, rho_times()))
+    return rho_from(gram_from(ham.Geodesic(sys, x0, p0), flag, rho_times()))
 
 
 def log_volume_ratios_from(geodesic, times):
@@ -191,7 +189,7 @@ def log_volume_ratios_from(geodesic, times):
     raises RhoError naming its time; one that fails at the base point is
     an input error."""
     sys = geodesic.sys
-    log_m0 = math.log(sys.density_at(geodesic.x0))
+    log_m0 = geodesic.log_density0
     xs, _, M = geodesic.at(times)
     _, lds = ham.signed_log_det(ham.vertical_jacobian(M, sys.dim))
     try:
@@ -204,15 +202,8 @@ def log_volume_ratios_from(geodesic, times):
 
 
 def log_volume_ratios(sys, x0, p0, times):
-    """log of the volume ratio at each time, one chained variational
-    integration per sign of time."""
-    return log_volume_ratios_from(ham.Geodesic(sys, x0, p0, times), times)
-
-
-def rho_flow_times():
-    """The trajectory times rho_flow_from reads: a geometric grid on
-    RHO_FLOW_WINDOW and its mirror image."""
-    return list(RHO_FLOW_GRID) + list(-RHO_FLOW_GRID)
+    """log of the volume ratio at each time, on a geodesic of its own."""
+    return log_volume_ratios_from(ham.Geodesic(sys, x0, p0), times)
 
 
 def rho_flow_from(geodesic, dimension):
@@ -232,7 +223,8 @@ def rho_flow_from(geodesic, dimension):
     determinant, whose graded entries lose relative accuracy as t -> 0."""
     samples = RHO_FLOW_SAMPLES
     t_hi = RHO_FLOW_WINDOW[1]
-    ys = log_volume_ratios_from(geodesic, rho_flow_times())
+    ys = log_volume_ratios_from(geodesic, list(RHO_FLOW_GRID)
+                                + list(-RHO_FLOW_GRID))
     shift = dimension * np.log(RHO_FLOW_GRID)
     odd = 0.5 * ((ys[:samples] - shift) - (ys[samples:] - shift))
     tau = RHO_FLOW_GRID / t_hi

@@ -177,19 +177,17 @@ def g_rel(sys, x0, p0, t):
     rh._require_ample(flag)
     scalar = np.isscalar(t)
     ts = [float(t)] if scalar else [float(v) for v in t]
-    geodesic = ham.Geodesic(sys, x0, p0, ts)
-    gram = rh.gram_from(geodesic, flag, ts + [0.0])
+    gram = rh.gram_from(ham.Geodesic(sys, x0, p0), flag, ts + [0.0])
     out = [gram[t] - gram[0.0] for t in ts]
     return out[0] if scalar else np.array(out)
 
 
 def rho_flow(sys, x0, p0, dimension=None):
-    """rho_flow_from on a geodesic integrated for its times alone; the
-    dimension defaults to that of the flag at (x0, p0)."""
+    """rho_flow_from on a geodesic of its own; the dimension defaults to
+    that of the flag at (x0, p0)."""
     if dimension is None:
         dimension = fl.flag_at(sys, x0, p0).dimension
-    geodesic = ham.Geodesic(sys, x0, p0, rh.rho_flow_times())
-    return rh.rho_flow_from(geodesic, dimension)
+    return rh.rho_flow_from(ham.Geodesic(sys, x0, p0), dimension)
 
 
 def scaling_checks(sys, x0, p0, factors):
@@ -212,9 +210,8 @@ def scaling_checks(sys, x0, p0, factors):
         # G(t) - G(0) at each of ts.
         flag = fl.flag_at(sys, x0, p)
         rh._require_ample(flag)
-        times = rh.rho_times() + [0.0] + ts
-        geodesic = ham.Geodesic(sys, x0, p, times)
-        gram = rh.gram_from(geodesic, flag, times)
+        gram = rh.gram_from(ham.Geodesic(sys, x0, p), flag,
+                            rh.rho_times() + [0.0] + ts)
         return (rh.rho_from(gram),
                 np.array([gram[float(t)] for t in ts]) - gram[0.0])
 

@@ -476,20 +476,31 @@ def test_analyze_matches_recorded_values():
                                                                   abs=0.1)
 
 
-def test_analyze_integrates_once_per_time_sign(monkeypatch):
-    signs = []
+def test_analyze_serves_each_time_once(monkeypatch):
+    # Each stage asks the one geodesic for its own times; a time already
+    # served, 0 included, is never flowed again.
+    served = []
     inner = ham.transition_many
 
     def counted(sys, x0, p0, times, *args, **kwargs):
-        signs.append({t > 0 for t in times if t != 0})
+        served.extend(times)
         return inner(sys, x0, p0, times, *args, **kwargs)
 
     monkeypatch.setattr(ham, "transition_many", counted)
+    jets = _counting(monkeypatch, ham, "_jet")
     system = catalog.builtin("engel")
     _, code = cli.analyze_report(system, np.zeros(4),
                                  np.array([0.8, 0.6, 0.5, -0.4]))
     assert code == 0
-    assert sum(len(s) for s in signs) == 2
+    # the growth checks, rho's nodes, the fit, the exponent probe and the
+    # volume-flow grid on both sides
+    flow_grid = list(np.geomspace(3e-2, 1.5e-1, 20))
+    reads = ([0.2 * i / 4 for i in range(1, 5)] + rh.rho_times()
+             + list(np.geomspace(1e-2, 2e-1, 24))
+             + list(np.geomspace(1e-3, 1e-2, 9))
+             + flow_grid + [-t for t in flow_grid])
+    assert sorted(served) == sorted({float(t) for t in reads})
+    assert len(jets) == 1
 
 
 def test_analyze_jet_budget(monkeypatch):
@@ -567,7 +578,8 @@ def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
     # evaluator and a second frame evaluation per point made 99 frame
     # evaluations and 876 evaluator calls here, and evaluating one point
     # per call made 64 and 353: each stage now evaluates its points as one
-    # stack per call.
+    # stack per call.  The geodesic evaluates the start energy and the base
+    # density once each, which took the count from 27 to 25.
     frames = _counting(monkeypatch, geo.ControlSystem, "frame_matrix")
     evals = [0]
     inner = expr.compile_exprs
@@ -588,7 +600,7 @@ def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
     assert code == 0
     assert len(frames) <= 5
     assert "controls_fn" not in system._cache
-    assert evals[0] <= 27
+    assert evals[0] <= 25
 
 
 def test_analyze_compiles_one_control_evaluator(monkeypatch):
@@ -617,5 +629,4 @@ def test_analyze_checks_the_flag_before_integrating(monkeypatch):
     assert code == 2
     assert report["status"] == "non-ample covector"
     assert len(calls) == 1
-    times = [t for t in calls[0][3] if t != 0]
-    assert times == fl.equiregular_times(0.2)
+    assert calls[0][3] == [0.2 * i / 4 for i in range(1, 5)]

@@ -214,8 +214,7 @@ def test_dimension_weight_pure_functions():
 
 def _equiregular(sys, x0, p0, t_max):
     flag = fl.flag_at(sys, x0, p0)
-    geodesic = ham.Geodesic(sys, x0, p0, fl.equiregular_times(t_max))
-    return fl.equiregular_from(geodesic, flag, t_max)
+    return fl.equiregular_from(ham.Geodesic(sys, x0, p0), flag, t_max)
 
 
 def test_equiregular_from_contact():

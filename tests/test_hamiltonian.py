@@ -7,7 +7,6 @@ import pytest
 
 from geoflow import asymptotics as asym
 from geoflow import catalog
-from geoflow import flag as fl
 from geoflow import geometry as geo
 from geoflow import hamiltonian as ham
 from geoflow import rho as rh
@@ -68,17 +67,55 @@ def test_negative_time_flow():
 
 
 def test_geodesic_matches_flow():
+    # A geodesic serves any time, also one asked for after the others.
     sys = catalog.builtin("engel")
     p0 = np.array([0.9, 0.6, 0.4, -0.3])
-    times = [0.1, 0.25, 0.5]
+    times = [0.1, 0.25, 0.5, 0.3]
     singles = [oracles.flow(sys, np.zeros(4), p0, t) for t in times]
-    geodesic = ham.Geodesic(sys, np.zeros(4), p0, times)
-    xs, ps, _ = geodesic.at(times)
-    for (x, p), many_x, many_p in zip(singles, xs, ps):
+    geodesic = ham.Geodesic(sys, np.zeros(4), p0)
+    xs, ps, _ = geodesic.at(times[:3])
+    x3, p3, _ = geodesic.at(times[3:])
+    for (x, p), many_x, many_p in zip(singles, np.vstack([xs, x3]),
+                                      np.vstack([ps, p3])):
         assert np.allclose(x, many_x, atol=1e-11)
         assert np.allclose(p, many_p, atol=1e-11)
-    with pytest.raises(KeyError, match="t=0.3 is not among the times"):
-        geodesic.at([0.1, 0.3])
+
+
+def test_batching_does_not_change_what_a_geodesic_serves(monkeypatch):
+    # Served in any split and order of `at` calls, both signs and times
+    # several jets out included, a geodesic returns the same states bit
+    # for bit as from one call over their union, and computes the same
+    # jets, each once.
+    sys = catalog.builtin("engel")
+    p0 = np.array([0.8, 0.6, 0.5, -0.4])
+    times = [-1.0, -0.55, -0.3, -0.02, 0.0, 0.02, 0.1, 0.35, 0.5, 0.75, 1.0]
+    jets = []
+    inner = ham._jet
+
+    def counted(sys, z, M, t, tol):
+        jets.append(t)
+        return inner(sys, z, M, t, tol)
+
+    monkeypatch.setattr(ham, "_jet", counted)
+    whole = ham.Geodesic(sys, np.zeros(4), p0).at(times)
+    union_jets = sorted(jets)
+    assert min(union_jets) < 0 < max(union_jets)
+    rng = np.random.default_rng(5)
+    splits = [[times[::-1]], [[t] for t in times[::-1]],
+              [times[6:], times[:6]], [[1.0], [-1.0], times],
+              [[0.5, -0.02], [0.02, 1.0, -1.0], times[::2]]]
+    for _ in range(4):
+        order = [times[i] for i in rng.permutation(len(times))]
+        cuts = sorted(rng.choice(np.arange(1, len(times)), 3, replace=False))
+        splits.append(np.split(np.array(order), cuts))
+    for split in splits:
+        jets.clear()
+        geodesic = ham.Geodesic(sys, np.zeros(4), p0)
+        for batch in split:
+            geodesic.at(batch)
+        for got, want in zip(geodesic.at(times), whole):
+            assert np.array_equal(got, want), split
+        assert sorted(jets) == union_jets, split
 
 
 def test_dense_output_matches_step_ended_transitions():
@@ -87,14 +124,18 @@ def test_dense_output_matches_step_ended_transitions():
     sys = catalog.builtin("engel")
     x0 = np.zeros(4)
     p0 = np.array([0.9, 0.6, 0.4, -0.3])
-    # the time set of one analyze_report with its default settings
-    times = (fl.equiregular_times(0.2) + rh.rho_times()
-             + rh.rho_flow_times() + asym.fit_times()
-             + asym.exponent_probe_times())
-    geodesic = ham.Geodesic(sys, x0, p0, times)
+    # the times one analyze_report reads with its default settings: the
+    # growth checks, rho's nodes, the volume-flow grid, the fit and the
+    # exponent probe
+    flow_grid = list(np.geomspace(3e-2, 1.5e-1, 20))
+    times = ([0.05, 0.1, 0.15, 0.2] + rh.rho_times() + flow_grid
+             + [-t for t in flow_grid] + asym.fit_times()
+             + list(np.geomspace(1e-3, 1e-2, 9)))
+    geodesic = ham.Geodesic(sys, x0, p0)
     interior = sorted({t for t in times if 1e-3 <= abs(t) <= 0.15})
     assert min(interior) < 0 < max(interior)
-    _, _, stack = geodesic.at(interior)
+    _, _, stack = geodesic.at(times)
+    stack = stack[[times.index(t) for t in interior]]
     for t, many in zip(interior, stack):
         _, _, one = oracles.transition(sys, x0, p0, t)
         assert np.allclose(many, one, rtol=0.0, atol=1e-11), t
@@ -259,10 +300,19 @@ def test_non_finite_energy_raises(monkeypatch):
         ham.transition_many(sys, np.zeros(3), p0, [0.5])
 
 
+def test_non_finite_start_energy_raises_at_zero():
+    # The start's energy overflows: the geodesic is refused before any
+    # jet, at t = 0.
+    sys = catalog.builtin("heisenberg3")
+    with pytest.raises(ham.IntegrationError,
+                       match=r"energy drifted by nan at t=0\.0") as err:
+        ham.Geodesic(sys, np.zeros(3), np.array([1e200, 0.0, 1.0]))
+    assert err.value.t_last == 0.0
+
+
 def test_tolerance_tightening_converges():
     sys = catalog.builtin("engel")
     p0 = np.array([0.8, 0.6, 0.5, -0.4])
-    loose, _, _ = ham.Geodesic(sys, np.zeros(4), p0, [1.0], tol=1e-6).at([1.0])
-    tight, _, _ = ham.Geodesic(sys, np.zeros(4), p0, [1.0],
-                               tol=1e-12).at([1.0])
+    loose, _, _ = ham.Geodesic(sys, np.zeros(4), p0, tol=1e-6).at([1.0])
+    tight, _, _ = ham.Geodesic(sys, np.zeros(4), p0, tol=1e-12).at([1.0])
     assert np.allclose(loose, tight, atol=1e-4)

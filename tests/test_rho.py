@@ -85,7 +85,7 @@ def test_two_paths_agree_on_engel():
 def _rho_from(sys, x0, p0, times):
     flag = fl.flag_at(sys, x0, p0)
     nodes = [t for s in times for t in rh.rho_times(s)]
-    gram = rh.gram_from(ham.Geodesic(sys, x0, p0, nodes), flag, nodes)
+    gram = rh.gram_from(ham.Geodesic(sys, x0, p0), flag, nodes)
     return np.array([rh.rho_from(gram, s) for s in times])
 
 

@@ -115,6 +115,9 @@ def commands(tmp):
         ["analyze", "engel", "--covector", "0.8,0.6,0.5,-0.4", "--no-fit"],
         ["analyze", "heisenberg3", "--covector", "0.6,0.8,1.1",
          "--window", "0.005,0.1", "--samples", "12", "--tol", "1e-10"],
+        # a window whose times span several jets
+        ["analyze", "engel", "--covector", "0.8,0.6,0.5,-0.4",
+         "--window", "0.02,1"],
         # every node kind in the Hamiltonian field
         ["analyze", "--file", str(NODE_KINDS), "--covector", "0.6,0.8",
          "--base", "1,0"],
