@@ -212,10 +212,9 @@ def analyze_report(system, x0, p0, window=asym.FIT_WINDOW,
         gram_times += [0.0] + fit_grid
     gram = rh.gram_from(geodesic, flag, gram_times)
     rho_gram = rh.rho_from(gram)
-    rho_from_flow = rh.rho_flow_from(geodesic, dimension=flag.dimension)
-    rho_gap = abs(rho_gram - rho_from_flow)
-    report["rho"] = {"gram": rho_gram, "flow": rho_from_flow,
-                     "gap": rho_gap}
+    rho_flow = rh.rho_series_from(geodesic, flag.dimension)
+    rho_gap = abs(rho_gram - rho_flow)
+    report["rho"] = {"gram": rho_gram, "flow": rho_flow, "gap": rho_gap}
     checks = {"rho_two_path": rho_gap <= rho_gap_tol}
 
     if fit:

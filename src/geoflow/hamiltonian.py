@@ -79,8 +79,9 @@ def _build_hamiltonian(sys):
 def _hamiltonian_field(sys):
     """The Hamiltonian vector field (dH/dp, -dH/dx) over (x, p), one
     simplified expression per phase coordinate.  It is derived once per
-    structure, and two Taylor evaluators compile it: the flow's, and the
-    control jet's, which carries the controls along it."""
+    structure, and three Taylor evaluators compile it, the flow's, the
+    control jet's and the density series', each with its own extras: an
+    extra that overflows makes its evaluator's whole point NaN."""
     def build():
         n = sys.dim
         H = hamiltonian(sys)
@@ -230,10 +231,11 @@ class Geodesic:
     at any times, in any number of calls.
 
     The constructor checks the energy at the start and computes the jet
-    at t = 0.  `at` serves each time once, through transition_many, which
-    extends the chain of jets of each sign outward as far as the times
-    reach; the served states and the jets are kept, so what a stage reads
-    does not depend on which stages read before it."""
+    at t = 0, which `start_jet` holds.  `at` serves each time once,
+    through transition_many, which extends the chain of jets of each sign
+    outward as far as the times reach; the served states and the jets are
+    kept, so what a stage reads does not depend on which stages read
+    before it."""
 
     @_quiet
     def __init__(self, sys, x0, p0, tol=DEFAULT_TOL):
@@ -250,6 +252,11 @@ class Geodesic:
         # The served states, one row per time in the order served.
         self._row = {0.0: 0}
         self._z, self._M = self._z0[None], eye[None]
+
+    @property
+    def start_jet(self):
+        """(C, h): the jet at t = 0 and its step, as _jet returns them."""
+        return self._chains[1.0][0][3:]
 
     @functools.cached_property
     def log_density0(self):

@@ -13,7 +13,9 @@ auxiliary completion; its derivative at tau = s is rho at the flowed
 covector, independent of the completion and of the admissible extension.
 That collapses every rho evaluation into finite differences of a single
 scalar function along the flow, and makes the running integral of rho an
-exact difference G(t) - G(0).
+exact difference G(t) - G(0).  rho_series_from reads rho a second way,
+from the volume's series in the geodesic's jet at t = 0, with no Gram
+matrix, no served time and no fit.
 
 Every stage reads a hamiltonian.Geodesic: `*_from` asks the geodesic
 for the times it needs and takes, where it needs one, the flag at the
@@ -37,23 +39,21 @@ import math
 
 import numpy as np
 
+from . import expr as ex
 from . import flag as fl
 from . import geometry as geo
 from . import hamiltonian as ham
 
 __all__ = [
     "RhoError", "gram_from", "rho_times", "rho_from", "rho",
-    "log_volume_ratios_from", "log_volume_ratios", "rho_flow_from",
+    "log_volume_ratios_from", "log_volume_ratios", "rho_series_from",
 ]
 
 # Step of the finite differences of G that give rho.
 FD_STEP = 1e-3
 
-# The volume-flow estimate of rho samples RHO_FLOW_SAMPLES times on a
-# geometric grid over RHO_FLOW_WINDOW, and their mirror images.
-RHO_FLOW_WINDOW = (3e-2, 1.5e-1)
-RHO_FLOW_SAMPLES = 20
-RHO_FLOW_GRID = np.geomspace(*RHO_FLOW_WINDOW, RHO_FLOW_SAMPLES)
+# Points of the circle at which rho_series_from evaluates det A(t).
+SERIES_POINTS = 64
 
 
 class RhoError(RuntimeError):
@@ -206,33 +206,25 @@ def log_volume_ratios(sys, x0, p0, times):
     return log_volume_ratios_from(ham.Geodesic(sys, x0, p0), times)
 
 
-def rho_flow_from(geodesic, dimension):
-    """Independent estimate of rho(lambda) from the volume flow itself;
-    `dimension` is the geodesic dimension N at the base covector.
-
-    log r(t) - N log|t| = log C + rho t + c2 t^2 + ... as a series in
-    signed time, so sampling a sign-symmetric geometric grid decouples
-    the odd and even parts and the linear coefficient can be read off
-    the odd part alone:
-
-        (y(t) - y(-t)) / 2 = rho t + c3 t^3 + c5 t^5 + c7 t^7 + ...
-
-    The even terms never enter (on structures with mildly placed series
-    singularities they dominate the error of a one-sided fit), and the
-    window sits above the small-t noise floor of the variational
-    determinant, whose graded entries lose relative accuracy as t -> 0."""
-    samples = RHO_FLOW_SAMPLES
-    t_hi = RHO_FLOW_WINDOW[1]
-    ys = log_volume_ratios_from(geodesic, list(RHO_FLOW_GRID)
-                                + list(-RHO_FLOW_GRID))
-    shift = dimension * np.log(RHO_FLOW_GRID)
-    odd = 0.5 * ((ys[:samples] - shift) - (ys[samples:] - shift))
-    tau = RHO_FLOW_GRID / t_hi
-    A = np.column_stack([tau ** j for j in (1, 3, 5, 7)])
-    coef, *_ = np.linalg.lstsq(A, odd, rcond=None)
-    resid = float(np.max(np.abs(A @ coef - odd)))
-    if resid > 1e-4:
-        raise RhoError(
-            "volume-flow fit residual %.3g exceeds 1e-4; the expansion"
-            " window is unusable at this covector" % resid)
-    return float(coef[0] / t_hi)
+def rho_series_from(geodesic, dimension):
+    """rho(lambda) from the volume's series at t = 0, N = `dimension`:
+    with det A(t) = t^N (c0 + c1 t + ...) for the vertical block A of the
+    transition matrix and m(x(t)) = m0 + m1 t + ... along the flow, log
+    r(t) = log|c0| + N log|t| + (c1/c0 + m1/m0) t + O(t^2) (ABP, arXiv
+    1602.08745).  c0 and c1 are read off det A on the circle |w| =
+    min(h, 1), h being the jet's step, by a discrete Fourier transform.
+    They take A's coefficients up to order 2s at step s, so the jet's
+    ORDER serves steps up to ORDER / 2."""
+    geodesic.log_density0    # a failing base density is an input error
+    sys, n = geodesic.sys, geodesic.sys.dim
+    C, h = geodesic.start_jet
+    A = C[:, 2 * n:].reshape(-1, 2 * n, 2 * n)[:, :n, n:]
+    radius = min(h, 1.0)
+    turns = 2j * np.pi * np.arange(SERIES_POINTS) / SERIES_POINTS
+    w = radius * np.exp(turns)
+    dets = np.linalg.det(np.tensordot(w[:, None] ** np.arange(len(A)), A, 1))
+    c0, c1 = np.exp(-np.outer([dimension, dimension + 1], turns)) @ dets
+    density = sys.cached("density_series", lambda: ex.compile_taylor(
+        ham._hamiltonian_field(sys), [sys.density]))
+    _, ((m0,), (m1,)) = density(C[0, :2 * n], 2)
+    return float((c1 / c0).real / radius + m1 / m0)

@@ -12,6 +12,7 @@ import geoflow.catalog as cat
 import geoflow.exact as exact
 import geoflow.flag as fl
 import geoflow.geometry as geo
+import geoflow.hamiltonian as ham
 import geoflow.rho as rh
 
 import oracles
@@ -130,9 +131,9 @@ def test_criterion_07_two_path_rho_agreement_all_builtins():
         x0 = cat.default_base(sys)
         for _ in range(20):
             p0 = cat.sample_covector(name, rng)
-            gap = abs(rh.rho(sys, x0, p0)
-                      - oracles.rho_flow(sys, x0, p0, dimension=dimension))
-            assert gap <= 1e-5, name
+            series = rh.rho_series_from(ham.Geodesic(sys, x0, p0), dimension)
+            gap = abs(rh.rho(sys, x0, p0) - series)
+            assert gap <= 1e-10, name
 
 
 def test_criterion_08_covector_scaling_homogeneity():

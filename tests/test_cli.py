@@ -131,13 +131,16 @@ def test_density_failing_along_the_flow_is_numerical(tmp_path, capsys):
     path.write_text(json.dumps(OVERFLOWING_DENSITY))
     argv = ["analyze", "--file", str(path), "--base", "709.7,0",
             "--covector", "1,0"]
-    # without the fit the volume flow meets the overflow; with it the
-    # Gram pass meets it first, at a fit time
-    for extra in (["--no-fit"], []):
-        assert run(argv + extra) == 3, extra
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: "), extra
-        assert " at t=" in err and "density is not finite" in err, extra
+    # with the fit the Gram pass meets the overflow, at a fit time
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert " at t=" in err and "density is not finite" in err
+    # without it nothing reads the density along the flow: rho's second
+    # path reads the density's series at the base
+    assert run(argv + ["--no-fit"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rho"]["gap"] <= 1e-10
 
 
 def test_analyze_no_fit_skips_the_expansion(capsys):
@@ -492,14 +495,13 @@ def test_analyze_serves_each_time_once(monkeypatch):
     _, code = cli.analyze_report(system, np.zeros(4),
                                  np.array([0.8, 0.6, 0.5, -0.4]))
     assert code == 0
-    # the growth checks, rho's nodes, the fit, the exponent probe and the
-    # volume-flow grid on both sides
-    flow_grid = list(np.geomspace(3e-2, 1.5e-1, 20))
+    # the growth checks, rho's nodes, the fit and the exponent probe;
+    # rho's second path reads the t = 0 jet and serves no time
     reads = ([0.2 * i / 4 for i in range(1, 5)] + rh.rho_times()
              + list(np.geomspace(1e-2, 2e-1, 24))
-             + list(np.geomspace(1e-3, 1e-2, 9))
-             + flow_grid + [-t for t in flow_grid])
+             + list(np.geomspace(1e-3, 1e-2, 9)))
     assert sorted(served) == sorted({float(t) for t in reads})
+    assert len(served) == 38
     assert len(jets) == 1
 
 
@@ -569,7 +571,7 @@ def test_analyze_lapack_budget(monkeypatch):
                                  np.array([0.8, 0.6, 0.5, -0.4]))
     assert code == 0
     assert len(svds) <= 17
-    assert len(slogdets) <= 3
+    assert len(slogdets) <= 2
 
 
 def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
@@ -579,7 +581,9 @@ def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
     # evaluations and 876 evaluator calls here, and evaluating one point
     # per call made 64 and 353: each stage now evaluates its points as one
     # stack per call.  The geodesic evaluates the start energy and the base
-    # density once each, which took the count from 27 to 25.
+    # density once each, which took the count from 27 to 25, and rho's
+    # second path reads no density or energy along the flow, which took
+    # it to 23.
     frames = _counting(monkeypatch, geo.ControlSystem, "frame_matrix")
     evals = [0]
     inner = expr.compile_exprs
@@ -600,18 +604,18 @@ def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
     assert code == 0
     assert len(frames) <= 5
     assert "controls_fn" not in system._cache
-    assert evals[0] <= 25
+    assert evals[0] <= 23
 
 
 def test_analyze_compiles_one_control_evaluator(monkeypatch):
-    # The flow and the control jet each compile one Taylor evaluator,
-    # whatever the jet order a flag level asks for.
+    # The flow, the control jet and the density series each compile one
+    # Taylor evaluator, whatever the jet order a flag level asks for.
     calls = _counting(monkeypatch, expr, "compile_taylor")
     system = catalog.builtin("engel")
     _, code = cli.analyze_report(system, np.zeros(4),
                                  np.array([0.8, 0.6, 0.5, -0.4]))
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 3
     assert not [key for key in system._cache if isinstance(key, tuple)
                 and any("poisson" in str(part) for part in key)]
 

@@ -27,6 +27,11 @@ WE3 = geo.structure_from_dict({
 WE3_GRAD = np.array([0.3, -0.2, 0.5])
 
 
+def _series(sys, x0, p0):
+    dimension = fl.flag_at(sys, x0, p0).dimension
+    return rh.rho_series_from(ham.Geodesic(sys, x0, p0), dimension)
+
+
 def test_euclidean_rho_vanishes():
     sys = catalog.builtin("euclidean:3")
     for _ in range(3):
@@ -43,6 +48,7 @@ def test_weighted_euclidean_rho_is_gradient_pairing():
                                                              abs=1e-8)
         assert oracles.rho_flow(WE3, np.zeros(3), p0) == pytest.approx(want,
                                                                   abs=1e-6)
+        assert _series(WE3, np.zeros(3), p0) == pytest.approx(want, abs=1e-10)
 
 
 def test_weighted_euclidean_closed_field():
@@ -74,12 +80,47 @@ def test_sphere_rho_vanishes():
 
 
 def test_two_paths_agree_on_engel():
+    # the series against the windowed odd-part fit of log r
     sys = catalog.builtin("engel")
     for _ in range(4):
         p0 = catalog.sample_covector("engel", RNG)
-        a = rh.rho(sys, np.zeros(4), p0)
+        a = _series(sys, np.zeros(4), p0)
         b = oracles.rho_flow(sys, np.zeros(4), p0)
         assert abs(a - b) <= 1e-5
+
+
+def test_series_matches_gram_with_drift_potential_and_every_node_kind():
+    h3 = catalog.builtin("heisenberg3")
+    cases = [
+        (catalog.with_overrides(h3, drift=["x2", "0", "0"],
+                                potential="x1^2"), np.zeros(3)),
+        (catalog.with_overrides(h3, drift=["0", "0", "x1*x2"],
+                                potential=None), np.zeros(3)),
+        (h3, np.array([0.2, -0.1, 0.4])),
+        (catalog.with_overrides(catalog.builtin("sphere2"), drift=None,
+                                potential="x1^2"), np.array([1.0, 0.0])),
+        (geo.load_structure(oracles.NODE_KINDS), np.array([1.0, 0.0])),
+        (catalog.builtin("engel"), np.array([0.3, 0.0, 0.0, 0.0])),
+    ]
+    rng = np.random.default_rng(43)
+    for sys, x0 in cases:
+        for _ in range(3):
+            p0 = rng.uniform(-1, 1, size=sys.dim)
+            gap = abs(_series(sys, x0, p0) - rh.rho(sys, x0, p0))
+            assert gap <= 1e-10, sys.name
+
+
+def test_series_holds_for_a_dimension_beyond_the_jet_order():
+    # Growth (2, 3, 4, 5, 6) has N = 26 > ham.ORDER: det A's orders 26
+    # and 27 still take A's coefficients only up to order 2s = 10.
+    sys = geo.structure_from_dict({
+        "dim": 6, "rank": 2, "X0": ["0"] * 6,
+        "frame": [["1", "0", "0", "0", "0", "0"],
+                  ["0", "1", "x1", "x1^2/2", "x1^3/6", "x1^4/24"]],
+        "Q": "0", "density": "1"})
+    x0, p0 = np.zeros(6), np.array([0.8, 0.6, 0.5, -0.4, 0.3, 0.2])
+    assert fl.flag_at(sys, x0, p0).dimension == 26 > ham.ORDER
+    assert abs(_series(sys, x0, p0) - rh.rho(sys, x0, p0)) <= 1e-10
 
 
 def _rho_from(sys, x0, p0, times):

@@ -128,6 +128,8 @@ def commands(tmp):
          "--drift", "1,0"],
         ["analyze", "heisenberg3", "--covector", "0.6,0.8,1.1",
          "--drift", "x2,0,0", "--potential", "x1^2"],
+        ["analyze", "heisenberg3", "--covector", "0.6,0.8,1.1",
+         "--drift", "0,0,x1*x2"],
         # numerical failures and usage errors
         ["analyze", "euclidean:2", "--covector", "1,0",
          "--drift", "20*x1^2,0"],
@@ -140,6 +142,8 @@ def commands(tmp):
          "--covector", "1,0", "--base", "0.9,0"],
         ["analyze", "--file", str(tmp / "vanishing-density.json"),
          "--covector", "1,0"],
+        ["analyze", "--file", str(tmp / "vanishing-density.json"),
+         "--covector", "1,0", "--no-fit"],
         ["analyze", "--file", overflowing, "--covector", "1,0",
          "--base", "1000,0"],
         ["analyze", "--file", overflowing, "--covector", "1,0"]
