@@ -110,8 +110,8 @@ def _require_ample(flag):
 def fit_expansion_from(geodesic, flag, gram, times):
     """Fit h(t) = log r(t) - N log t - int_0^t rho - offset by least
     squares against 1, t^2, t^3 on `times`, the geometric grid fit_times
-    returns, reading the geodesic; `flag` is flag_at at the geodesic's
-    base covector and `gram` the map rho.gram_from returns for them over
+    returns, reading the geodesic; `flag` is flag_from of the geodesic
+    and `gram` the map rho.gram_from returns for them over
     at least 0 and `times`.  The grid's ends are the window.
 
     rho is dG/dtau along this very trajectory, so the running integral is
@@ -167,11 +167,11 @@ def fit_expansion_from(geodesic, flag, gram, times):
 def fit_expansion(sys, x0, p0, window=FIT_WINDOW, samples=FIT_SAMPLES,
                   tol=ham.DEFAULT_TOL):
     """fit_expansion_from on a geodesic of its own.  A non-ample covector
-    is rejected before anything is integrated."""
-    flag = fl.flag_at(sys, x0, p0)
+    is rejected before any time is served."""
+    geodesic = ham.Geodesic(sys, x0, p0, tol)
+    flag = fl.flag_from(geodesic)
     _require_ample(flag)
     grid = fit_times(window, samples)
-    geodesic = ham.Geodesic(sys, x0, p0, tol)
     gram = rh.gram_from(geodesic, flag, [0.0] + grid)
     return fit_expansion_from(geodesic, flag, gram, grid)
 

@@ -4,7 +4,8 @@ report and table emission.
 Exit codes: 0 all checks pass, 1 usage error, 2 the covector is
 degenerate at its base, non-ample or non-equiregular, 3 numerical failure
 (a flow that blows up, a flag or Gram data that degenerate along the
-flow, or a tolerance check that did not pass).
+flow, a flag deeper than the flow's jet order, or a tolerance check that
+did not pass).
 """
 
 from __future__ import annotations
@@ -185,18 +186,18 @@ def analyze_report(system, x0, p0, window=asym.FIT_WINDOW,
         "base": [float(v) for v in x0],
         "covector": [float(v) for v in p0],
     }
-    # The base flag comes first, so a stationary covector is rejected
-    # before anything is integrated and a non-ample one is integrated only
-    # for its growth along the flow.  Only the base flag's FlagError is a
-    # degenerate covector; one raised along the flow is a numerical
-    # failure.  One geodesic serves every stage, and one Gram pass serves
-    # rho and the fit.
+    # The base flag is read from the geodesic's jet at t = 0, so a
+    # stationary covector is rejected before any time is served and a
+    # non-ample one is served only the times of its growth along the flow.
+    # Only the base flag's FlagError is a degenerate covector; one raised
+    # along the flow is a numerical failure.  One geodesic serves every
+    # stage, and one Gram pass serves rho and the fit.
+    geodesic = ham.Geodesic(system, x0, p0, tol)
     try:
-        flag = fl.flag_at(system, x0, p0)
+        flag = fl.flag_from(geodesic)
     except fl.FlagError as err:
         report["status"] = "degenerate covector: %s" % err
         return report, EXIT_DEGENERATE
-    geodesic = ham.Geodesic(system, x0, p0, tol)
     verdict, growths = fl.equiregular_from(geodesic, flag, window[1])
     report["flag"] = _flag_section(flag)
     report["equiregular"] = bool(verdict)
@@ -212,7 +213,7 @@ def analyze_report(system, x0, p0, window=asym.FIT_WINDOW,
         gram_times += [0.0] + fit_grid
     gram = rh.gram_from(geodesic, flag, gram_times)
     rho_gram = rh.rho_from(gram)
-    rho_flow = rh.rho_series_from(geodesic, flag.dimension)
+    rho_flow = rh.rho_series_from(geodesic, flag)
     rho_gap = abs(rho_gram - rho_flow)
     report["rho"] = {"gram": rho_gram, "flow": rho_flow, "gap": rho_gap}
     checks = {"rho_two_path": rho_gap <= rho_gap_tol}
@@ -268,14 +269,14 @@ def _sweep_row(system, x0, line, window, samples, tol):
             raise ValueError("covector entries must be finite")
         if p0.size != system.dim:
             raise geo.GeometryError("covector size mismatch")
-        flag = fl.flag_at(system, x0, p0)
+        geodesic = ham.Geodesic(system, x0, p0, tol)
+        flag = fl.flag_from(geodesic)
         row["growth"] = " ".join(str(v) for v in flag.growth)
         if not flag.ample:
             row["status"] = "non-ample"
             return row
         row["dimension"] = str(flag.dimension)
         fit_grid = asym.fit_times(window, samples)
-        geodesic = ham.Geodesic(system, x0, p0, tol)
         gram = rh.gram_from(geodesic, flag,
                             rh.rho_times() + [0.0] + fit_grid)
         row["rho"] = repr(rh.rho_from(gram))
@@ -286,7 +287,7 @@ def _sweep_row(system, x0, line, window, samples, tol):
         row["status"] = "ok"
     except ham.IntegrationError as err:
         row["status"] = "integration-failure: %s" % err
-    except (fl.FlagError, fl.NonFiniteError, rh.RhoError,
+    except (fl.FlagError, fl.NonFiniteError, fl.JetOrderError, rh.RhoError,
             asym.AsymptoticsError) as err:
         row["status"] = "degenerate: %s" % err
     except (ValueError, geo.GeometryError) as err:
@@ -315,9 +316,10 @@ def cmd_expansion(args):
     x0 = _resolve_base(args, system)
     p0 = _resolve_covector(args, system)
     # The base flag comes first, as in analyze_report: a degenerate
-    # covector exits 2 before anything is integrated or written.
+    # covector exits 2 before any time is served or anything is written.
+    geodesic = ham.Geodesic(system, x0, p0, args.tol)
     try:
-        flag = fl.flag_at(system, x0, p0)
+        flag = fl.flag_from(geodesic)
     except fl.FlagError as err:
         _sys.stderr.write("degenerate covector: %s\n" % err)
         return EXIT_DEGENERATE
@@ -325,7 +327,6 @@ def cmd_expansion(args):
         _sys.stderr.write("non-ample covector\n")
         return EXIT_DEGENERATE
     grid = asym.fit_times(args.window, args.samples)
-    geodesic = ham.Geodesic(system, x0, p0, args.tol)
     fitted = asym.fit_expansion_from(
         geodesic, flag, rh.gram_from(geodesic, flag, [0.0] + grid), grid)
     stream = _out_stream(args)
@@ -499,7 +500,7 @@ def main(argv=None):
     except ham.IntegrationError as err:
         _sys.stderr.write("integration failure: %s\n" % err)
         return EXIT_NUMERIC
-    except (fl.FlagError, fl.NonFiniteError, rh.RhoError,
+    except (fl.FlagError, fl.NonFiniteError, fl.JetOrderError, rh.RhoError,
             asym.AsymptoticsError) as err:
         _sys.stderr.write("numerical failure: %s\n" % err)
         return EXIT_NUMERIC

@@ -1,31 +1,27 @@
 """Geodesic flag, growth vector, and the exponent/constant data derived
 from them.
 
-Along a trajectory with initial covector (x, p) the distribution is
-dragged by any admissible field T that extends the velocity, T(gamma(t)) =
-gammadot(t).  The flag at the point collects iterated brackets
+The flag at a covector lambda is the projection of the osculating flag
+of its Jacobi curve J(t) = M(t)^-1 V, M being the transition matrix of
+the Hamiltonian flow and V the vertical space (Agrachev-Barilari-Rizzi,
+arXiv 1306.5318).  M is symplectic, M^-1 = -Omega M^T Omega, so the
+projected order-r coefficient of J is spanned by the rows of the order-r
+coefficient of B(t) = dx(t)/dp0, which the flow's Taylor jets hold for
+every time they serve.  Level j of the flag is the order-(j+1)
+coefficient, times (j+1)! and pinv(F^T) to put it in the frame's scale:
+modulo the lower levels it is then the bracket columns (ad T)^j X_a of
+any admissible extension T of the velocity, level 0 being the frame F.
+The growth vector is the rank profile of the accumulated spans.
 
-    level j+1 columns:  (ad T)^j X_a (x),  a = 1..k
-
-and the growth vector is the rank profile of the accumulated spans.  The
-flag does not depend on which admissible extension is used; this module
-builds a concrete polynomial one.  Writing s(x) = <alpha, x - x0> for a
-transverse affine time function, the extension is
-
-    T(x) = X_0(x) + sum_i uhat_i(s(x)) X_i(x)
-
-where uhat_i is the Taylor polynomial of the control u_i(t) at t = 0.  Its
-coefficients, the control jet, are the controls' Taylor coefficients along
-the Hamiltonian flow, generated like the flow's own by expr.compile_taylor,
-so every coefficient is a function of the covector.  The
-brackets are taken in graded form, as polynomials in a formal s whose
-coefficients are fields over (x, alpha, c), c the control jet; only the
-s^0 coefficient survives at the base point.  They are assembled once per
-structure and reused for every covector by binding (x, alpha, c) numerically.
+So the flag needs no symbolic work beyond the flow's: flag_from reads
+the geodesic's jet at t = 0, equiregular_from and rho.gram_from the jets
+that serve their times.  The flow's jet order hamiltonian.ORDER bounds
+the levels a flag can read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,15 +29,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from . import expr as ex
-from . import geometry as geo
 from . import hamiltonian as ham
 
 __all__ = [
-    "FlagError", "NonFiniteError", "GeodesicFlag", "flag_at",
-    "geodesic_dimension", "homogeneous_weight", "young_diagram",
-    "leading_constant", "equiregular_from",
-    "control_jet",
+    "FlagError", "NonFiniteError", "JetOrderError", "GeodesicFlag",
+    "flag_from", "flag_at", "geodesic_dimension", "homogeneous_weight",
+    "young_diagram", "leading_constant", "equiregular_from",
 ]
 
 RANK_TOL = 1e-9
@@ -61,123 +54,86 @@ class NonFiniteError(ArithmeticError):
     covector."""
 
 
-def control_jet(sys, x, p, order):
-    """Control jet at a covector: array of shape (k, order+1) whose
-    (i, r) entry is the order-r Taylor coefficient of u_i(t) at t = 0,
-    from the Taylor evaluator of the Hamiltonian field with the controls
-    as its extra expressions.  Stacks (P, n) of points x and p give the
-    (P, k, order+1) jets of their covectors in one evaluator call."""
-    fn = sys.cached("control_fn", lambda: ex.compile_taylor(
-        ham._hamiltonian_field(sys), ham._control_exprs(sys)))
-    return np.swapaxes(fn(np.concatenate([x, p], axis=-1), order + 1)[1],
-                       -1, -2)
+class JetOrderError(ArithmeticError):
+    """A flag level needs a Taylor order of the flow beyond the jet's
+    hamiltonian.ORDER: a limit of the method, not a degenerate
+    covector."""
 
 
-# ----------------------------------------------------------------------
-# The graded extension and its bracket columns.
-#
-# Variables: x in [0, n), alpha in [n, 2n), and the control jet c[i][r] at
-# 2n + r*k + i.  With S a formal time function (dS = alpha.dx, S = 0 at
-# the base point), T = sum_r S^r T_r, T_0 = X_0 + sum_i c_i0 X_i and
-# T_r = sum_i c_ir X_i, c_ir being the order-r Taylor coefficient of u_i.
-# Fields are held as S-coefficients, bracketed by
-#   [S^r A, S^m B] = S^(r+m) [A, B] + S^(r+m-1) (m (alpha.A) B - r (alpha.B) A).
-# Only S^0 is evaluated, at the base point.  A bracket lowers the degree by
-# at most one, so level l of (ad T)^j X_a needs the degrees <= j - l only.
+@functools.cache
+def _binomials(orders, terms):
+    """binom(q, k) at row k < orders and column q < terms, 0 for q <= k."""
+    return np.array([[math.comb(q, k) if q > k else 0 for q in range(terms)]
+                     for k in range(orders)], float)
 
 
-def _extension_term(sys, r):
-    """T_r as a vector field over (x, alpha, c)."""
-    def build():
-        n, k = sys.dim, sys.rank
-        return geo.VectorField(tuple(ex.simplify(ex.Add(tuple(
-            ([sys.X0.components[q]] if r == 0 else [])
-            + [ex.Mul((ex.Var(2 * n + r * k + i),
-                       sys.frame[i].components[q])) for i in range(k)])))
-            for q in range(n)))
-
-    return sys.cached(("ext_T", r), build)
-
-
-def _extension_coefficient(sys, level, degree):
-    """The S^degree coefficients of (ad T)^level X_a, one field per a."""
-    if level == 0:
-        return sys.frame if degree == 0 else ()
-
-    def along_alpha(scale, W):
-        return ex.simplify(ex.Mul((ex.Const(float(scale)), ex.Add(tuple(
-            ex.Mul((ex.Var(sys.dim + q), c))
-            for q, c in enumerate(W.components))))))
-
-    def build():
-        terms = [[[] for _ in range(sys.dim)] for _ in range(sys.rank)]
-        for m in range(degree + 2):
-            # (T_(r-1), W_m) give the bracket term of degree r - 1 + m, and
-            # (T_r, W_m) the terms where S is differentiated.
-            r = degree + 1 - m
-            T = _extension_term(sys, r)
-            aT = along_alpha(m, T)
-            for a, W in enumerate(_extension_coefficient(sys, level - 1, m)):
-                parts = [[ex.Mul((aT, c)) for c in W.components]] if m else []
-                if r:
-                    aW = along_alpha(-r, W)
-                    parts += [geo.lie_bracket(_extension_term(sys, r - 1),
-                                              W).components,
-                              [ex.Mul((aW, c)) for c in T.components]]
-                for part in parts:
-                    for q, c in enumerate(part):
-                        terms[a][q].append(c)
-        return tuple(geo.VectorField(tuple(ex.simplify(ex.Add(tuple(t)))
-                                           for t in comps))
-                     for comps in terms)
-
-    return sys.cached(("ext_coef", level, degree), build)
+def _shift(C, s, orders):
+    """(P, orders, c): the coefficients of orders 0..orders-1 of the series
+    whose rows are C, Taylor-shifted to each offset s of a stack,
+    D_k(s) = C_k + sum_{q>k} binom(q, k) C_q s^(q-k).  C_k is added to the
+    finished sum, so near the jet's point, where the sum is small, D_k
+    keeps C_k's digits."""
+    q = np.arange(len(C))
+    lag = np.maximum(q - np.arange(orders)[:, None], 0)
+    powers = np.vander(s, len(C), increasing=True)[:, lag]
+    return C[:orders] + (_binomials(orders, len(C)) * powers) @ C
 
 
-def _extension_fn(sys, j):
-    """Evaluator of (ad T)^j X_a at the base point, over (x, alpha, c)."""
-    return sys.cached(("ext_fn", j), lambda: ex.compile_exprs(
-        [c for W in _extension_coefficient(sys, j, 0) for c in W.components]))
+def _jacobi_columns(geodesic, times, frames, depth):
+    """The velocity (P, n) and the columns (P, depth - 1, n, k) of levels
+    1..depth-1 at each of the times, from the jets that serve them; frames
+    holds the (P, n, k) frame at each time.
+
+    At a time served at the offset s by a jet with transition
+    coefficients Phi_q, the order-r coefficient of the projected Jacobi
+    curve is [Phi(s) (-Omega D_r(s)^T Omega)][:n, n:] = Phi_b D_a^T -
+    Phi_a D_b^T, with (D_a, D_b) the left and right halves of the top n
+    rows of D_r(s) and (Phi_a, Phi_b) those of Phi(s) = D_0(s).  Level j
+    is r = j + 1, times r! and pinv(F^T) to express it in the frame's
+    scale: at r = 1 that gives F.
+
+    pinv(F^T) gets one refinement step, and multiplies the blocks and r!,
+    in extended precision (numpy.longdouble).  A column's part along the
+    lower levels can be larger than its new direction, and the ulps a
+    float64 pinv and product leave there reach rho, a difference quotient
+    of G over rho.FD_STEP, as noise."""
+    n = geodesic.sys.dim
+    m = 2 * n
+    velocity = np.empty((len(times), n))
+    blocks = np.empty((len(times), depth - 1, n, n))
+    for C, index, s in geodesic.jets_at(times):
+        top = C[:, m:].reshape(len(C), m, m)[:, :n]
+        D = _shift(np.concatenate([C[:, :n], top.reshape(len(C), -1)],
+                                  axis=1), s, depth + 1)
+        velocity[index] = D[:, 1, :n]
+        D = D[:, :, n:].reshape(len(index), depth + 1, n, m)
+        Da, Db = np.swapaxes(D[:, 2:, :, :n], -1, -2), np.swapaxes(
+            D[:, 2:, :, n:], -1, -2)
+        blocks[index] = D[:, :1, :, n:] @ Da - D[:, :1, :, :n] @ Db
+    scale = np.array([math.factorial(r) for r in range(2, depth + 1)],
+                     np.longdouble)[:, None, None]
+    Ft = np.swapaxes(frames, -1, -2)
+    X = np.linalg.pinv(Ft).astype(np.longdouble)
+    X += X @ (np.eye(len(Ft[0])) - Ft.astype(np.longdouble) @ X)
+    columns = scale * (blocks.astype(np.longdouble) @ X[:, None])
+    return velocity, columns.astype(float)
 
 
-def _time_gradient(drifts, frames, us):
-    """alpha = v/|v|^2 for the velocity v = X_0 + frame @ u at each point
-    of a stack, so that the time function S grows at unit rate along the
-    trajectory.  Returns the (P, n) alphas and {row: error} for the points
-    whose |v|^2 is not finite (NonFiniteError) or is at most 1e-24 times
-    the squared size of its terms X_0 and F_a u_a (FlagError, stationary
+def _stationary(drifts, frames, ps, velocity):
+    """{row: error} for the points of a stack whose squared velocity is
+    not finite (NonFiniteError) or is at most 1e-24 times the squared
+    size of its terms X_0 and F_a u_a, u = F^T p (FlagError, stationary
     whatever the scale of the covector)."""
-    alphas = np.zeros(drifts.shape)
-    errors = {}
     with np.errstate(over="ignore", invalid="ignore"):
+        us = (np.swapaxes(frames, -1, -2) @ ps[:, :, None])[:, :, 0]
         sizes = (np.sum(np.square(drifts), axis=1) + np.sum(
             np.square(frames * us[:, None, :]), axis=(1, 2))).tolist()
-        for i, (drift, frame, u) in enumerate(zip(drifts, frames, us)):
-            v = drift + frame @ u
-            norm2 = float(np.dot(v, v))
-            if not math.isfinite(norm2):
-                errors[i] = NonFiniteError("the squared velocity is not"
-                                           " finite at this covector")
-            elif norm2 <= 1e-24 * sizes[i]:
-                errors[i] = FlagError("the trajectory is stationary at this"
-                                      " covector")
-            else:
-                alphas[i] = v / norm2
-    return alphas, errors
-
-
-def _bracket_columns(sys, x, alpha, jet):
-    """(n, k) array whose columns are (ad T)^j X_a at x, j >= 1, where
-    `jet` is the control jet to order j at the point and alpha its
-    _time_gradient; stacks of points give a stack of arrays."""
-    j = jet.shape[-1] - 1
-    c = np.swapaxes(jet, -1, -2).reshape(jet.shape[:-2] + (-1,))
-    vals = _extension_fn(sys, j)(np.concatenate([x, alpha, c], axis=-1))
-    return np.swapaxes(vals.reshape(vals.shape[:-1] + (sys.rank, sys.dim)),
-                       -1, -2)
-
-
-# ----------------------------------------------------------------------
+        norms = np.sum(np.square(velocity), axis=1).tolist()
+    return {i: FlagError("the trajectory is stationary at this covector")
+            if math.isfinite(norm2) else NonFiniteError(
+                "the squared velocity is not finite at this covector")
+            for i, (norm2, size) in enumerate(zip(norms, sizes))
+            if not math.isfinite(norm2) or norm2 <= 1e-24 * size}
 
 
 @dataclass(frozen=True)
@@ -201,45 +157,53 @@ def _closed(ranks, dim):
         len(ranks) >= 3 and ranks[-1] == ranks[-2] == ranks[-3]))
 
 
-def _growth_profile(sys, xs, ps, max_step, factors=(1.0,)):
-    """Rank profiles of the accumulated bracket columns at each covector
-    (xs[i], ps[i]) of the stacks, one per factor of RANK_TOL.  Returns one
-    entry per point: (profiles, bracket columns of the first profile's
-    levels), or the FlagError or NonFiniteError that point raised.
+def _growth_profile(geodesic, times, max_step, factors=(1.0,)):
+    """Rank profiles of the accumulated level columns at each of the times
+    along the geodesic, one per factor of RANK_TOL.  Returns one entry per
+    time: (profiles, level columns of the first profile's levels), or the
+    FlagError, NonFiniteError or JetOrderError that point raised.
 
-    Level 0 is the frame; the velocity behind the time gradient is read
-    from it and from row 0 of the control jet, computed once per point to
-    the last level's order and sliced per level.  Each level evaluates the
-    columns of every point with a profile still open in one call,
-    normalizes them (a vanishing one gives a zero row, so all points have
-    as many rows), and takes one SVD of the accumulated rows of all those
-    points; the rank of every open profile is read from it.  A profile
-    can pause for one level and then resume (a level that adds no
-    direction at the point may still feed later levels), so it closes at
-    full rank or after two no-gain levels in a row, not after one.  A
-    point whose squared velocity or column norms are not finite fails
-    with NonFiniteError and never gets a rank."""
+    Level 0 is the frame.  The later levels and the velocity come from the
+    jets that serve the times, for all levels at once, when a profile
+    first needs level 1; a stationary point fails there.  Each level
+    normalizes the columns of every point with a profile still open (a
+    vanishing one gives a zero row, so all points have as many rows), and
+    takes one SVD of the accumulated rows of all those points; the rank
+    of every open profile is read from it.  A profile can pause for one
+    level and then resume (a level that adds no direction at the point
+    may still feed later levels), so it closes at full rank or after two
+    no-gain levels in a row, not after one.  A point whose squared
+    velocity or column norms are not finite fails with NonFiniteError
+    and never gets a rank; level j reads the jet's order j + 1, and a
+    profile still open past the jet's order fails with JetOrderError."""
+    sys = geodesic.sys
     n, k = sys.dim, sys.rank
-    profiles = [tuple([] for _ in factors) for _ in xs]
-    per_level = [[] for _ in xs]
-    rows = np.empty((len(xs), 0, n))
+    xs, ps, _ = geodesic.at(times)
+    frames = sys.frame_matrix(xs)
+    depth = min(max_step, ham.ORDER)
+    profiles = [tuple([] for _ in factors) for _ in times]
+    per_level = [[] for _ in times]
+    rows = np.empty((len(times), 0, n))
     failed = {}
     for j in range(max_step):
-        live = [i for i in range(len(xs)) if i not in failed
+        live = [i for i in range(len(times)) if i not in failed
                 and not all(_closed(r, n) for r in profiles[i])]
         if j == 1 and live:
-            jets = control_jet(sys, xs, ps, max_step - 1)
-            alphas, errors = _time_gradient(sys.drift_at(xs), frames,
-                                            jets[:, :, 0])
-            failed.update((i, errors[i]) for i in live if i in errors)
+            columns = np.empty((len(times), depth - 1, n, k))
+            velocity, columns[live] = _jacobi_columns(
+                geodesic, [times[i] for i in live], frames[live], depth)
+            errors = _stationary(sys.drift_at(xs[live]), frames[live],
+                                 ps[live], velocity)
+            failed.update((live[g], err) for g, err in errors.items())
             live = [i for i in live if i not in failed]
+        if j == depth and live:
+            failed.update((i, JetOrderError(
+                "flag level %d needs the flow's Taylor order %d, beyond its"
+                " jet order %d" % (j + 1, j + 1, ham.ORDER))) for i in live)
+            break
         if not live:
             break
-        if j == 0:
-            C = frames = sys.frame_matrix(xs)
-        else:
-            C = _bracket_columns(sys, xs[live], alphas[live],
-                                 jets[live, :, :j + 1])
+        C = frames if j == 0 else columns[live, j - 1]
         # One contiguous row per column: each norm is then the same dot
         # product numpy.linalg.norm takes of one column.
         R = np.swapaxes(C, 1, 2)
@@ -256,7 +220,7 @@ def _growth_profile(sys, xs, ps, max_step, factors=(1.0,)):
                     % (j + 1))
         live = [i for i in live if i not in failed]
         R, norms = R[finite], norms[finite, :, None]
-        rows = np.concatenate([rows, np.zeros((len(xs), k, n))], axis=1)
+        rows = np.concatenate([rows, np.zeros((len(times), k, n))], axis=1)
         rows[live, -k:] = np.divide(R, norms, out=np.zeros_like(R),
                                     where=norms > 0.0)
         sv = np.linalg.svd(np.swapaxes(rows[live], 1, 2), compute_uv=False)
@@ -276,7 +240,7 @@ def _growth_profile(sys, xs, ps, max_step, factors=(1.0,)):
     return [failed[i] if i in failed else (
         tuple(tuple(r) for r in profiles[i]),
         tuple(per_level[i][:len(profiles[i][0])]))
-        for i in range(len(xs))]
+        for i in range(len(times))]
 
 
 def _first_failure_raised(results):
@@ -299,8 +263,9 @@ def _trim(raw, dim):
     return (raw if raw[-1] == dim else raw[:last_gain + 2]), kept
 
 
-def flag_at(sys, x, p):
-    """Geodesic flag at one covector.
+def flag_from(geodesic):
+    """Geodesic flag at the geodesic's base covector, read from its jet at
+    t = 0.
 
     The level ranks are computed from column-normalized singular values
     at RANK_TOL.  Levels run until full rank or the level cap dim + 2; a
@@ -310,12 +275,11 @@ def flag_at(sys, x, p):
     one pass over the levels, and a diagnostic is recorded if the growth
     vector is sensitive to that choice.
     """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
+    sys = geodesic.sys
     max_step = sys.dim + 2
     factors = (1.0, 0.1, 10.0)
     [((raw, *alts), _)] = _first_failure_raised(
-        _growth_profile(sys, x[None], p[None], max_step, factors))
+        _growth_profile(geodesic, [0.0], max_step, factors))
     diagnostics = [
         "growth vector is tolerance sensitive: %r at %g times the rank"
         " tolerance" % (alt, factor)
@@ -341,6 +305,11 @@ def flag_at(sys, x, p):
         leading=leading_constant(rows) if ample else Fraction(0),
         diagnostics=tuple(diagnostics),
     )
+
+
+def flag_at(sys, x, p):
+    """flag_from on a geodesic of its own."""
+    return flag_from(ham.Geodesic(sys, x, p))
 
 
 def geodesic_dimension(increments):
@@ -374,12 +343,14 @@ def leading_constant(young_rows):
 def equiregular_from(geodesic, flag, t_max):
     """Check that the growth vector is the same at EQUIREGULAR_SAMPLES
     evenly spaced points of [0, t_max] along the geodesic; `flag` is
-    flag_at at its base covector.  Returns (verdict, growths), base first."""
+    flag_from at its base covector.  Returns (verdict, growths), base
+    first."""
     sys = geodesic.sys
-    x, p, _ = geodesic.at([t_max * i / (EQUIREGULAR_SAMPLES - 1)
-                           for i in range(1, EQUIREGULAR_SAMPLES)])
+    times = [t_max * i / (EQUIREGULAR_SAMPLES - 1)
+             for i in range(1, EQUIREGULAR_SAMPLES)]
     # Only the growth is read here: one rank profile, no diagnostics.
-    results = _first_failure_raised(_growth_profile(sys, x, p, sys.dim + 2))
+    results = _first_failure_raised(
+        _growth_profile(geodesic, times, sys.dim + 2))
     growths = [flag.growth] + [_trim(raw, sys.dim)[0]
                                for (raw,), _ in results]
     verdict = all(g == flag.growth for g in growths)

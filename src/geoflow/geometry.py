@@ -16,7 +16,7 @@ from . import expr as ex
 
 __all__ = [
     "GeometryError", "VectorField", "ControlSystem", "AuxFrame",
-    "lie_bracket", "aux_frame_at", "load_structure", "structure_from_dict",
+    "aux_frame_at", "load_structure", "structure_from_dict",
 ]
 
 
@@ -52,29 +52,6 @@ class VectorField:
     @classmethod
     def zero(cls, n):
         return cls((ex.ZERO,) * n)
-
-
-def lie_bracket(v, w):
-    """Lie bracket [v, w], differentiating with respect to the chart
-    variables, one per component.
-
-    Components may legitimately mention variables beyond the chart (frozen
-    parameters); those are treated as constants.
-    """
-    if v.dim != w.dim:
-        raise GeometryError("bracket of fields of different dimension")
-    comps = []
-    for j in range(v.dim):
-        terms = []
-        for i in range(v.dim):
-            dw = ex.diff(w.components[j], i)
-            if not (isinstance(dw, ex.Const) and dw.value == 0.0):
-                terms.append(ex.Mul((v.components[i], dw)))
-            dv = ex.diff(v.components[j], i)
-            if not (isinstance(dv, ex.Const) and dv.value == 0.0):
-                terms.append(ex.Mul((ex.MINUS_ONE, w.components[i], dv)))
-        comps.append(ex.simplify(ex.Add(tuple(terms))) if terms else ex.ZERO)
-    return VectorField(tuple(comps))
 
 
 @dataclass(frozen=True)

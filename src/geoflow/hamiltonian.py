@@ -79,9 +79,9 @@ def _build_hamiltonian(sys):
 def _hamiltonian_field(sys):
     """The Hamiltonian vector field (dH/dp, -dH/dx) over (x, p), one
     simplified expression per phase coordinate.  It is derived once per
-    structure, and three Taylor evaluators compile it, the flow's, the
-    control jet's and the density series', each with its own extras: an
-    extra that overflows makes its evaluator's whole point NaN."""
+    structure, and two Taylor evaluators compile it, the flow's and the
+    density series', each with its own extras: an extra that overflows
+    makes its evaluator's whole point NaN."""
     def build():
         n = sys.dim
         H = hamiltonian(sys)
@@ -217,6 +217,7 @@ def transition_many(sys, x0, p0, times, tol=DEFAULT_TOL, geodesic=None):
         q = len(served)
         _require_energy(served, energy_at(sys, Z[:q, :n], Z[:q, n:]), g._e0)
         g._row.update(zip(served, range(len(g._z), len(g._z) + q)))
+        g._source.update((u, (signs[0], k, u - t)) for u in served)
         g._z = np.concatenate([g._z, Z[:q]])
         g._M = np.concatenate([g._M, MZ[:q]])
         for sign, zu, Mu in zip(grown, Z[q:], MZ[q:]):
@@ -235,7 +236,9 @@ class Geodesic:
     through transition_many, which extends the chain of jets of each sign
     outward as far as the times reach; the served states and the jets are
     kept, so what a stage reads does not depend on which stages read
-    before it."""
+    before it.  `jets_at` names the jet that served each time and the
+    time's offset from it, for the stages that read a jet's coefficients
+    rather than the state."""
 
     @_quiet
     def __init__(self, sys, x0, p0, tol=DEFAULT_TOL):
@@ -249,8 +252,12 @@ class Geodesic:
         eye = np.eye(self._z0.size)
         start = (0.0, self._z0, eye) + _jet(sys, self._z0, eye, 0.0, tol)
         self._chains = {-1.0: [start], 1.0: [start]}
-        # The served states, one row per time in the order served.
+        # The served states, one row per time in the order served, and
+        # for each time the jet that served it, as (sign, index in the
+        # chain of that sign, offset from the jet's point); the jet at
+        # t = 0 serves under the sign -1, as in transition_many.
         self._row = {0.0: 0}
+        self._source = {0.0: (-1.0, 0, 0.0)}
         self._z, self._M = self._z0[None], eye[None]
 
     @property
@@ -273,6 +280,18 @@ class Geodesic:
         rows = [self._row[t] for t in times]
         z = self._z[rows]
         return z[:, :self.sys.dim], z[:, self.sys.dim:], self._M[rows]
+
+    def jets_at(self, times):
+        """The jets that serve the times, as a list of (C, index, s): the
+        coefficients C of one jet, as _jet returns them, the positions in
+        `times` it serves, and their offsets s from the jet's point."""
+        self.at(times)
+        groups = {}
+        for i, t in enumerate(times):
+            sign, k, s = self._source[float(t)]
+            groups.setdefault((sign, k), []).append((i, s))
+        return [(self._chains[sign][k][3], *map(np.array, zip(*group)))
+                for (sign, k), group in groups.items()]
 
 
 def vertical_jacobian(M, n):

@@ -60,18 +60,33 @@ class RhoError(RuntimeError):
     pass
 
 
+def _log_det(M):
+    """(log det, singular) of each positive semidefinite matrix of a stack
+    (P, d, d), by elimination in the dtype of M; a pivot that is not
+    positive marks a singular matrix, whose log det is not read."""
+    logs = np.zeros(len(M), M.dtype)
+    singular = np.zeros(len(M), dtype=bool)
+    for j in range(M.shape[1]):
+        pivot = M[:, j, j]
+        singular |= ~(pivot > 0.0)
+        pivot = np.where(singular, 1.0, pivot)
+        logs += np.log(pivot)
+        M = M - M[:, :, j:j + 1] * M[:, j:j + 1, :] / pivot[:, None, None]
+    return logs, singular
+
+
 def _gram_log_of_levels(aux, growth, per_level):
-    """log det M_i for every level at each point of a stack, from bracket
+    """log det M_i for every level at each point of a stack, from level
     columns in chart coordinates: `aux` holds the (P, n, n) auxiliary
     bases, `growth` the rank profile common to the points and `per_level`
-    the (P, n, k) columns of each level.  Returns a (P, levels) array; a
-    level that adds no direction contributes 0.
+    the (P, n, k) columns of each level.  Returns a (P, levels) array in
+    extended precision; a level that adds no direction contributes 0.
 
-    Each step is one LAPACK or matmul call for the whole stack.  A point
-    with a singular level Gram matrix raises, the first such point of the
-    stack at its first singular level."""
+    Each step is one LAPACK, matmul or elementwise call for the whole
+    stack.  A point with a singular level Gram matrix raises, the first
+    such point of the stack at its first singular level."""
     Yinv = np.linalg.inv(aux)
-    logs = np.zeros((len(aux), len(per_level)))
+    logs = np.zeros((len(aux), len(per_level)), np.longdouble)
     singular = np.zeros(len(aux), dtype=int)
     acc = []
     B_prev = None
@@ -90,12 +105,15 @@ def _gram_log_of_levels(aux, growth, per_level):
             P = B - B_prev @ (np.swapaxes(B_prev, 1, 2) @ B)
             u2, _, _ = np.linalg.svd(P, full_matrices=False)
             V = u2[:, :, :d_i]
+        # log det M_i reads the norm of V's columns, which the SVD makes
+        # orthonormal to a few ulps only: one Newton step in extended
+        # precision makes them orthonormal, and M_i and its log det are
+        # formed there too.
+        V = V.astype(np.longdouble)
+        V -= V @ (np.swapaxes(V, 1, 2) @ V - np.eye(d_i)) / 2
         L = np.swapaxes(V, 1, 2) @ Caux
-        sv = np.linalg.svd(L, compute_uv=False)[:, :d_i]
-        bad = np.any(sv <= 0.0, axis=1)
+        logs[:, i], bad = _log_det(L @ np.swapaxes(L, 1, 2))
         singular[bad & (singular == 0)] = i + 1
-        logs[:, i] = 2.0 * np.sum(np.log(np.where(bad[:, None], 1.0, sv)),
-                                  axis=1)
         B_prev = B
     failed = np.flatnonzero(singular)
     if failed.size:
@@ -111,7 +129,7 @@ def _require_ample(flag):
 
 def gram_from(geodesic, flag, times):
     """{float(tau): G(tau)} for every tau in times, read from the
-    geodesic; `flag` is flag_at at the geodesic's base covector.
+    geodesic; `flag` is flag_from of the geodesic.
 
     The auxiliary completion is chosen once at the base point and kept
     along the trajectory, and the growth vector must stay that of the
@@ -126,7 +144,7 @@ def gram_from(geodesic, flag, times):
     # Visited outward from the base, so that the first failure met is the
     # earliest along the flow.
     distinct = sorted({float(t) for t in times}, key=lambda t: (abs(t), t))
-    xs, ps, _ = geodesic.at(distinct)
+    xs, _, _ = geodesic.at(distinct)
     failure = None
     try:
         aux = geo.aux_frame_at(sys, xs, comp).matrix
@@ -137,7 +155,7 @@ def gram_from(geodesic, flag, times):
     # A point after a failing one cannot change the error raised, so each
     # check runs only on the points before the first failure so far.
     columns = []
-    for result in fl._growth_profile(sys, xs[:len(aux)], ps[:len(aux)],
+    for result in fl._growth_profile(geodesic, distinct[:len(aux)],
                                      len(expected)):
         if isinstance(result, Exception):
             failure = result
@@ -153,7 +171,8 @@ def gram_from(geodesic, flag, times):
                                [np.array(level) for level in zip(*columns)])
     if failure is not None:
         raise failure
-    return dict(zip(distinct, (0.5 * sum(row) for row in logs.tolist())))
+    return dict(zip(distinct, (0.5 * np.sum(logs, axis=1)).astype(float)
+                    .tolist()))
 
 
 def rho_times(s=0.0):
@@ -177,9 +196,10 @@ def rho_from(gram, s=0.0):
 def rho(sys, x0, p0):
     """The invariant rho at one covector: dG/dtau at 0, by Richardson
     extrapolated central differences along the flow."""
-    flag = fl.flag_at(sys, x0, p0)
+    geodesic = ham.Geodesic(sys, x0, p0)
+    flag = fl.flag_from(geodesic)
     _require_ample(flag)
-    return rho_from(gram_from(ham.Geodesic(sys, x0, p0), flag, rho_times()))
+    return rho_from(gram_from(geodesic, flag, rho_times()))
 
 
 def log_volume_ratios_from(geodesic, times):
@@ -206,15 +226,20 @@ def log_volume_ratios(sys, x0, p0, times):
     return log_volume_ratios_from(ham.Geodesic(sys, x0, p0), times)
 
 
-def rho_series_from(geodesic, dimension):
-    """rho(lambda) from the volume's series at t = 0, N = `dimension`:
-    with det A(t) = t^N (c0 + c1 t + ...) for the vertical block A of the
-    transition matrix and m(x(t)) = m0 + m1 t + ... along the flow, log
-    r(t) = log|c0| + N log|t| + (c1/c0 + m1/m0) t + O(t^2) (ABP, arXiv
-    1602.08745).  c0 and c1 are read off det A on the circle |w| =
-    min(h, 1), h being the jet's step, by a discrete Fourier transform.
-    They take A's coefficients up to order 2s at step s, so the jet's
-    ORDER serves steps up to ORDER / 2."""
+def rho_series_from(geodesic, flag):
+    """rho(lambda) from the volume's series at t = 0; `flag` is flag_from
+    of the geodesic, N its geodesic dimension: with det A(t) = t^N (c0 +
+    c1 t + ...) for the vertical block A of the transition matrix and
+    m(x(t)) = m0 + m1 t + ... along the flow, log r(t) = log|c0| + N
+    log|t| + (c1/c0 + m1/m0) t + O(t^2) (ABP, arXiv 1602.08745).  c0 and
+    c1 are read off det A on the circle |w| = min(h, 1), h being the
+    jet's step, by a discrete Fourier transform.  They take A's
+    coefficients up to order 2s at step s, so the jet's ORDER serves
+    steps up to ORDER / 2, and a deeper flag raises."""
+    if 2 * flag.step > ham.ORDER:
+        raise RhoError("the series of rho needs the flow's Taylor order %d"
+                       " at step %d, beyond its jet order %d"
+                       % (2 * flag.step, flag.step, ham.ORDER))
     geodesic.log_density0    # a failing base density is an input error
     sys, n = geodesic.sys, geodesic.sys.dim
     C, h = geodesic.start_jet
@@ -223,7 +248,8 @@ def rho_series_from(geodesic, dimension):
     turns = 2j * np.pi * np.arange(SERIES_POINTS) / SERIES_POINTS
     w = radius * np.exp(turns)
     dets = np.linalg.det(np.tensordot(w[:, None] ** np.arange(len(A)), A, 1))
-    c0, c1 = np.exp(-np.outer([dimension, dimension + 1], turns)) @ dets
+    N = flag.dimension
+    c0, c1 = np.exp(-np.outer([N, N + 1], turns)) @ dets
     density = sys.cached("density_series", lambda: ex.compile_taylor(
         ham._hamiltonian_field(sys), [sys.density]))
     _, ((m0,), (m1,)) = density(C[0, :2 * n], 2)

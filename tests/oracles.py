@@ -6,6 +6,12 @@
   Lie derivatives of the Hamiltonian field.
 - poisson_chain: the Taylor coefficients of the controls at t = 0 from
   symbolic Poisson brackets with the Hamiltonian.
+- lie_bracket: the bracket of two symbolic vector fields.
+- control_jet, the graded admissible extension (_extension_term,
+  _extension_coefficient, _extension_fn), _time_gradient,
+  _bracket_columns and symbolic_flag: the flag's levels as brackets
+  (ad T)^j X_a of an admissible extension, the route the library's flag
+  took before it read the flow's jets, kept as their reference.
 - velocity_at and admissible_extension: the velocity from row 0 of the
   control jet, and the polynomial admissible extension as a plain vector
   field over the chart.
@@ -20,7 +26,7 @@
   of rho for a full-rank frame, and the divergence identity it satisfies.
 
 Every function reaches the library through module attributes
-(`fl.flag_at`, `ham.transition_many`, ...), so a test that counts calls
+(`fl.flag_from`, `ham.transition_many`, ...), so a test that counts calls
 by monkeypatching one of them sees the calls made here as well.
 """
 
@@ -31,6 +37,7 @@ import numpy as np
 
 from geoflow import expr as ex
 from geoflow import flag as fl
+from geoflow.flag import FlagError, NonFiniteError
 from geoflow import geometry as geo
 from geoflow import hamiltonian as ham
 from geoflow import rho as rh
@@ -106,13 +113,207 @@ def poisson_chain(sys, x, p, order):
 
 
 # ----------------------------------------------------------------------
+# Brackets
+
+
+def lie_bracket(v, w):
+    """Lie bracket [v, w], differentiating with respect to the chart
+    variables, one per component.
+
+    Components may legitimately mention variables beyond the chart (frozen
+    parameters); those are treated as constants.
+    """
+    if v.dim != w.dim:
+        raise geo.GeometryError("bracket of fields of different dimension")
+    comps = []
+    for j in range(v.dim):
+        terms = []
+        for i in range(v.dim):
+            dw = ex.diff(w.components[j], i)
+            if not (isinstance(dw, ex.Const) and dw.value == 0.0):
+                terms.append(ex.Mul((v.components[i], dw)))
+            dv = ex.diff(v.components[j], i)
+            if not (isinstance(dv, ex.Const) and dv.value == 0.0):
+                terms.append(ex.Mul((ex.MINUS_ONE, w.components[i], dv)))
+        comps.append(ex.simplify(ex.Add(tuple(terms))) if terms else ex.ZERO)
+    return geo.VectorField(tuple(comps))
+
+
+# ----------------------------------------------------------------------
+# The symbolic flag: the control jet and the graded admissible extension
+#
+# The library reads the flag from the flow's jets (flag._jacobi_columns).
+# This is the independent route it replaced: the brackets (ad T)^j X_a of
+# an admissible extension T of the velocity, built symbolically once per
+# structure and bound to each covector's control jet.
+
+
+def control_jet(sys, x, p, order):
+    """Control jet at a covector: array of shape (k, order+1) whose
+    (i, r) entry is the order-r Taylor coefficient of u_i(t) at t = 0,
+    from the Taylor evaluator of the Hamiltonian field with the controls
+    as its extra expressions.  Stacks (P, n) of points x and p give the
+    (P, k, order+1) jets of their covectors in one evaluator call."""
+    fn = sys.cached("control_fn", lambda: ex.compile_taylor(
+        ham._hamiltonian_field(sys), ham._control_exprs(sys)))
+    return np.swapaxes(fn(np.concatenate([x, p], axis=-1), order + 1)[1],
+                       -1, -2)
+
+
+# ----------------------------------------------------------------------
+# The graded extension and its bracket columns.
+#
+# Variables: x in [0, n), alpha in [n, 2n), and the control jet c[i][r] at
+# 2n + r*k + i.  With S a formal time function (dS = alpha.dx, S = 0 at
+# the base point), T = sum_r S^r T_r, T_0 = X_0 + sum_i c_i0 X_i and
+# T_r = sum_i c_ir X_i, c_ir being the order-r Taylor coefficient of u_i.
+# Fields are held as S-coefficients, bracketed by
+#   [S^r A, S^m B] = S^(r+m) [A, B] + S^(r+m-1) (m (alpha.A) B - r (alpha.B) A).
+# Only S^0 is evaluated, at the base point.  A bracket lowers the degree by
+# at most one, so level l of (ad T)^j X_a needs the degrees <= j - l only.
+
+
+def _extension_term(sys, r):
+    """T_r as a vector field over (x, alpha, c)."""
+    def build():
+        n, k = sys.dim, sys.rank
+        return geo.VectorField(tuple(ex.simplify(ex.Add(tuple(
+            ([sys.X0.components[q]] if r == 0 else [])
+            + [ex.Mul((ex.Var(2 * n + r * k + i),
+                       sys.frame[i].components[q])) for i in range(k)])))
+            for q in range(n)))
+
+    return sys.cached(("ext_T", r), build)
+
+
+def _extension_coefficient(sys, level, degree):
+    """The S^degree coefficients of (ad T)^level X_a, one field per a."""
+    if level == 0:
+        return sys.frame if degree == 0 else ()
+
+    def along_alpha(scale, W):
+        return ex.simplify(ex.Mul((ex.Const(float(scale)), ex.Add(tuple(
+            ex.Mul((ex.Var(sys.dim + q), c))
+            for q, c in enumerate(W.components))))))
+
+    def build():
+        terms = [[[] for _ in range(sys.dim)] for _ in range(sys.rank)]
+        for m in range(degree + 2):
+            # (T_(r-1), W_m) give the bracket term of degree r - 1 + m, and
+            # (T_r, W_m) the terms where S is differentiated.
+            r = degree + 1 - m
+            T = _extension_term(sys, r)
+            aT = along_alpha(m, T)
+            for a, W in enumerate(_extension_coefficient(sys, level - 1, m)):
+                parts = [[ex.Mul((aT, c)) for c in W.components]] if m else []
+                if r:
+                    aW = along_alpha(-r, W)
+                    parts += [lie_bracket(_extension_term(sys, r - 1),
+                                          W).components,
+                              [ex.Mul((aW, c)) for c in T.components]]
+                for part in parts:
+                    for q, c in enumerate(part):
+                        terms[a][q].append(c)
+        return tuple(geo.VectorField(tuple(ex.simplify(ex.Add(tuple(t)))
+                                           for t in comps))
+                     for comps in terms)
+
+    return sys.cached(("ext_coef", level, degree), build)
+
+
+def _extension_fn(sys, j):
+    """Evaluator of (ad T)^j X_a at the base point, over (x, alpha, c)."""
+    return sys.cached(("ext_fn", j), lambda: ex.compile_exprs(
+        [c for W in _extension_coefficient(sys, j, 0) for c in W.components]))
+
+
+def _time_gradient(drifts, frames, us):
+    """alpha = v/|v|^2 for the velocity v = X_0 + frame @ u at each point
+    of a stack, so that the time function S grows at unit rate along the
+    trajectory.  Returns the (P, n) alphas and {row: error} for the points
+    whose |v|^2 is not finite (NonFiniteError) or is at most 1e-24 times
+    the squared size of its terms X_0 and F_a u_a (FlagError, stationary
+    whatever the scale of the covector)."""
+    alphas = np.zeros(drifts.shape)
+    errors = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        sizes = (np.sum(np.square(drifts), axis=1) + np.sum(
+            np.square(frames * us[:, None, :]), axis=(1, 2))).tolist()
+        for i, (drift, frame, u) in enumerate(zip(drifts, frames, us)):
+            v = drift + frame @ u
+            norm2 = float(np.dot(v, v))
+            if not math.isfinite(norm2):
+                errors[i] = NonFiniteError("the squared velocity is not"
+                                           " finite at this covector")
+            elif norm2 <= 1e-24 * sizes[i]:
+                errors[i] = FlagError("the trajectory is stationary at this"
+                                      " covector")
+            else:
+                alphas[i] = v / norm2
+    return alphas, errors
+
+
+def _bracket_columns(sys, x, alpha, jet):
+    """(n, k) array whose columns are (ad T)^j X_a at x, j >= 1, where
+    `jet` is the control jet to order j at the point and alpha its
+    _time_gradient; stacks of points give a stack of arrays."""
+    j = jet.shape[-1] - 1
+    c = np.swapaxes(jet, -1, -2).reshape(jet.shape[:-2] + (-1,))
+    vals = _extension_fn(sys, j)(np.concatenate([x, alpha, c], axis=-1))
+    return np.swapaxes(vals.reshape(vals.shape[:-1] + (sys.rank, sys.dim)),
+                       -1, -2)
+
+
+def symbolic_flag(sys, x, p):
+    """(raw ranks, level columns) of the flag at one covector from the
+    graded extension: level 0 the frame, level j the columns (ad T)^j X_a,
+    ranked as flag ranks them, with column-normalized singular values at
+    RANK_TOL, up to full rank, two no-gain levels or the cap dim + 2."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    frame = sys.frame_matrix(x)
+    [alpha], errors = _time_gradient(sys.drift_at(x[None]), frame[None],
+                                     control_jet(sys, x, p, 0)[None, :, 0])
+    if errors:
+        raise errors[0]
+    columns, ranks, rows = [frame], [], np.zeros((0, sys.dim))
+    while True:
+        norms = np.linalg.norm(columns[-1], axis=0)
+        rows = np.concatenate([rows, (columns[-1] / np.where(
+            norms > 0.0, norms, 1.0)).T])
+        sv = np.linalg.svd(rows.T, compute_uv=False)
+        ranks.append(int(np.sum(sv > fl.RANK_TOL * sv[0])))
+        if fl._closed(ranks, sys.dim) or len(ranks) == sys.dim + 2:
+            return tuple(ranks), columns
+        columns.append(_bracket_columns(sys, x, alpha, control_jet(
+            sys, x, p, len(columns))))
+
+
+def symbolic_gram(geodesic, raw_ranks, times):
+    """{t: G(t)} at the given times of the geodesic, from the symbolic
+    flag's columns at each served state (x(t), p(t)) and the auxiliary
+    completion gram_from chooses at the base point."""
+    sys = geodesic.sys
+    comp = geo.aux_frame_at(sys, geodesic.x0).complement
+    xs, ps, _ = geodesic.at(times)
+    gram = {}
+    for t, x, p in zip(times, xs, ps):
+        _, columns = symbolic_flag(sys, x, p)
+        [logs] = rh._gram_log_of_levels(
+            geo.aux_frame_at(sys, x[None], comp).matrix, raw_ranks,
+            [C[None] for C in columns[:len(raw_ranks)]])
+        gram[t] = 0.5 * float(np.sum(logs))
+    return gram
+
+
+# ----------------------------------------------------------------------
 # The velocity and the admissible extension
 
 
 def velocity_at(sys, x, p):
     """gammadot = X_0(x) + sum_a u_a X_a(x), the controls u being row 0
     of the control jet."""
-    u = fl.control_jet(sys, x, p, 0)[:, 0]
+    u = control_jet(sys, x, p, 0)[:, 0]
     return sys.drift_at(x) + sys.frame_matrix(x) @ u
 
 
@@ -122,13 +323,13 @@ def admissible_extension(sys, x, p, order):
     s(x) = <alpha, x - x0> and the jet coefficients bound to their
     values."""
     x = np.asarray(x, dtype=float)
-    jet = fl.control_jet(sys, x, p, order)
-    [alpha], _ = fl._time_gradient(sys.drift_at(x[None]),
-                                   sys.frame_matrix(x[None]), jet[None, :, 0])
+    jet = control_jet(sys, x, p, order)
+    [alpha], _ = _time_gradient(sys.drift_at(x[None]),
+                                sys.frame_matrix(x[None]), jet[None, :, 0])
     binding = {2 * sys.dim + i: float(c) for i, c in enumerate(jet.T.ravel())}
     s = ex.Add(tuple(ex.Mul((ex.Const(a), ex.Add((ex.Var(q), ex.Const(-xq)))))
                      for q, (a, xq) in enumerate(zip(alpha, x))))
-    Ts = [fl._extension_term(sys, r) for r in range(order + 1)]
+    Ts = [_extension_term(sys, r) for r in range(order + 1)]
     return geo.VectorField(tuple(ex.simplify(ex.Add(tuple(
         ex.Mul((ex.Pow(s, r), ex.substitute(T.components[q], binding)))
         for r, T in enumerate(Ts)))) for q in range(sys.dim)))
@@ -181,11 +382,12 @@ def frame_determinant(sys):
 
 def g_rel(sys, x0, p0, t):
     """G(t) - G(0): the running integral of rho along the trajectory."""
-    flag = fl.flag_at(sys, x0, p0)
+    geodesic = ham.Geodesic(sys, x0, p0)
+    flag = fl.flag_from(geodesic)
     rh._require_ample(flag)
     scalar = np.isscalar(t)
     ts = [float(t)] if scalar else [float(v) for v in t]
-    gram = rh.gram_from(ham.Geodesic(sys, x0, p0), flag, ts + [0.0])
+    gram = rh.gram_from(geodesic, flag, ts + [0.0])
     out = [gram[t] - gram[0.0] for t in ts]
     return out[0] if scalar else np.array(out)
 
@@ -225,9 +427,10 @@ def rho_flow_from(geodesic, dimension):
 def rho_flow(sys, x0, p0, dimension=None):
     """rho_flow_from on a geodesic of its own; the dimension defaults to
     that of the flag at (x0, p0)."""
+    geodesic = ham.Geodesic(sys, x0, p0)
     if dimension is None:
-        dimension = fl.flag_at(sys, x0, p0).dimension
-    return rho_flow_from(ham.Geodesic(sys, x0, p0), dimension)
+        dimension = fl.flag_from(geodesic).dimension
+    return rho_flow_from(geodesic, dimension)
 
 
 def scaling_checks(sys, x0, p0, factors):
@@ -248,9 +451,10 @@ def scaling_checks(sys, x0, p0, factors):
     def rho_and_g(p, ts):
         # One flag and one geodesic per covector: rho at it and
         # G(t) - G(0) at each of ts.
-        flag = fl.flag_at(sys, x0, p)
+        geodesic = ham.Geodesic(sys, x0, p)
+        flag = fl.flag_from(geodesic)
         rh._require_ample(flag)
-        gram = rh.gram_from(ham.Geodesic(sys, x0, p), flag,
+        gram = rh.gram_from(geodesic, flag,
                             rh.rho_times() + [0.0] + ts)
         return (rh.rho_from(gram),
                 np.array([gram[float(t)] for t in ts]) - gram[0.0])

@@ -131,7 +131,10 @@ def test_criterion_07_two_path_rho_agreement_all_builtins():
         x0 = cat.default_base(sys)
         for _ in range(20):
             p0 = cat.sample_covector(name, rng)
-            series = rh.rho_series_from(ham.Geodesic(sys, x0, p0), dimension)
+            geodesic = ham.Geodesic(sys, x0, p0)
+            flag = fl.flag_from(geodesic)
+            assert flag.dimension == dimension, name
+            series = rh.rho_series_from(geodesic, flag)
             gap = abs(rh.rho(sys, x0, p0) - series)
             assert gap <= 1e-10, name
 
@@ -163,10 +166,10 @@ def test_criterion_09_contact_log_norm_oracle():
         p0 = cat.sample_covector("heisenberg5:1,2", rng)
         rel = oracles.g_rel(sys, x0, p0, ts)
         # the controls are row 0 of the control jet
-        base = j_norm(fl.control_jet(sys, x0, p0, 0)[:, 0])
+        base = j_norm(oracles.control_jet(sys, x0, p0, 0)[:, 0])
         for t, measured in zip(ts, rel):
             x, p, _ = oracles.transition(sys, x0, p0, t)
-            controls = fl.control_jet(sys, x, p, 0)[:, 0]
+            controls = oracles.control_jet(sys, x, p, 0)[:, 0]
             expected = math.log(j_norm(controls) / base)
             assert abs(measured - expected) <= 1e-6, t
 

@@ -2,12 +2,14 @@
 batch sweep."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import geoflow.catalog as catalog
 import geoflow.cli as cli
+import geoflow.exact as exact
 import geoflow.expr as expr
 import geoflow.flag as fl
 import geoflow.geometry as geo
@@ -26,6 +28,19 @@ MARTINET = {"name": "martinet", "dim": 3, "rank": 2,
 OVERFLOWING_DENSITY = {"dim": 2, "rank": 2, "X0": ["0", "0"],
                        "frame": [["1", "0"], ["0", "1"]], "Q": "0",
                        "density": "exp(x1)"}
+
+
+def rank_one_chain(step):
+    """x1' = u, x_(i+1)' = x_i: growth (1, 2, ..., step) at every covector
+    with p1 != 0 at the origin."""
+    return {"name": "chain%d" % step, "dim": step, "rank": 1,
+            "X0": ["0"] + ["x%d" % i for i in range(1, step)],
+            "frame": [["1"] + ["0"] * (step - 1)], "Q": "0", "density": "1"}
+
+
+def _chain_covector(step):
+    return ",".join(repr(0.5 * (-1) ** i / (i + 1)) if i else "1"
+                    for i in range(step))
 
 
 def run(argv):
@@ -351,11 +366,13 @@ def test_sweep_statuses_in_input_order(tmp_path, capsys):
     assert (',,,,,"degenerate: auxiliary completion degenerated at'
             in lines[5])
     assert lines[6].rstrip().endswith("ok")
-    # the flag overflows: a failure with no growth vector, not non-ample
+    # the energy at the start overflows, so the geodesic fails before the
+    # flag: a failure with no growth vector, not non-ample
     for line in lines[7:9]:
-        assert ",,,,,,,degenerate: " in line
+        assert ",,,,,,,integration-failure: energy drifted by nan" in line
         assert "non-ample" not in line
-    assert ",integration-failure: " in lines[9]
+    # the jet at t = 0 is not finite, and the flag is read from it
+    assert ",,,,,,,integration-failure: " in lines[9]
     ok_fields = lines[1].rsplit(",", 5)
     assert float(ok_fields[2]) == pytest.approx(1.0 / 12.0, rel=1e-3)
 
@@ -538,7 +555,7 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_one_base_flag_per_covector(monkeypatch, tmp_path, capsys):
-    flags = _counting(monkeypatch, fl, "flag_at")
+    flags = _counting(monkeypatch, fl, "flag_from")
     profiles = _counting(monkeypatch, fl, "_growth_profile")
     grams = _counting(monkeypatch, rh, "gram_from")
     system = catalog.builtin("engel")
@@ -564,26 +581,28 @@ def test_one_base_flag_per_covector(monkeypatch, tmp_path, capsys):
 def test_analyze_lapack_budget(monkeypatch):
     # Each stage stacks its per-point linear algebra: one call per level,
     # not one per point, which made 334 SVDs and 73 log-determinants here.
+    # The level Gram determinants are eliminated, not read from an SVD,
+    # which took the SVDs from 17 to 14.
     svds = _counting(monkeypatch, np.linalg, "svd")
     slogdets = _counting(monkeypatch, np.linalg, "slogdet")
     system = catalog.builtin("engel")
     _, code = cli.analyze_report(system, np.zeros(4),
                                  np.array([0.8, 0.6, 0.5, -0.4]))
     assert code == 0
-    assert len(svds) <= 17
+    assert len(svds) <= 14
     assert len(slogdets) <= 2
 
 
 def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
-    # Level 0 of a flag point is its frame, and the level-1 velocity reads
-    # that frame and row 0 of the control jet.  A separate controls
-    # evaluator and a second frame evaluation per point made 99 frame
-    # evaluations and 876 evaluator calls here, and evaluating one point
-    # per call made 64 and 353: each stage now evaluates its points as one
-    # stack per call.  The geodesic evaluates the start energy and the base
-    # density once each, which took the count from 27 to 25, and rho's
-    # second path reads no density or energy along the flow, which took
-    # it to 23.
+    # Level 0 of a flag point is its frame, and the later levels read the
+    # flow's jets.  A separate controls evaluator and a second frame
+    # evaluation per point made 99 frame evaluations and 876 evaluator
+    # calls here, and evaluating one point per call made 64 and 353: each
+    # stage now evaluates its points as one stack per call.  The geodesic
+    # evaluates the start energy and the base density once each, which
+    # took the count from 27 to 25, rho's second path reads no density or
+    # energy along the flow, which took it to 23, and the flag reads no
+    # control jet and no bracket evaluator, which took it to 17.
     frames = _counting(monkeypatch, geo.ControlSystem, "frame_matrix")
     evals = [0]
     inner = expr.compile_exprs
@@ -604,18 +623,19 @@ def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
     assert code == 0
     assert len(frames) <= 5
     assert "controls_fn" not in system._cache
-    assert evals[0] <= 23
+    assert evals[0] <= 17
 
 
 def test_analyze_compiles_one_control_evaluator(monkeypatch):
-    # The flow, the control jet and the density series each compile one
-    # Taylor evaluator, whatever the jet order a flag level asks for.
+    # The flow and the density series each compile one Taylor evaluator;
+    # the flag reads the flow's jet, whatever the order a level asks for,
+    # and compiles none.
     calls = _counting(monkeypatch, expr, "compile_taylor")
     system = catalog.builtin("engel")
     _, code = cli.analyze_report(system, np.zeros(4),
                                  np.array([0.8, 0.6, 0.5, -0.4]))
     assert code == 0
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert not [key for key in system._cache if isinstance(key, tuple)
                 and any("poisson" in str(part) for part in key)]
 
@@ -634,3 +654,43 @@ def test_analyze_checks_the_flag_before_integrating(monkeypatch):
     assert report["status"] == "non-ample covector"
     assert len(calls) == 1
     assert calls[0][3] == [0.2 * i / 4 for i in range(1, 5)]
+
+
+@pytest.mark.parametrize("step", [6, 9])
+def test_deep_rank_one_chains(tmp_path, capsys, step):
+    # One Young row of length s: N = s^2 and C = det_formula(s).  The flag
+    # reads the jet's orders up to s, the series of rho orders up to 2s.
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(rank_one_chain(step)))
+    rc = run(["analyze", "--file", str(path), "--covector",
+              _chain_covector(step), "--no-fit"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    flag = report["flag"]
+    assert flag["growth"] == list(range(1, step + 1))
+    assert flag["geodesic_dimension"] == step ** 2
+    assert (Fraction(flag["leading_constant"]["rational"])
+            == exact.det_formula(step))
+
+
+def test_a_step_beyond_the_jet_order_fails_by_name(tmp_path, capsys,
+                                                   monkeypatch):
+    # Step 11 needs det A's series to order 22 > ORDER = 20: the series of
+    # rho raises, a numerical failure, not a degenerate covector.
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(rank_one_chain(11)))
+    argv = ["analyze", "--file", str(path), "--covector",
+            _chain_covector(11), "--no-fit"]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: the series of rho needs the flow's Taylor order"
+        " 22 at step 11, beyond its jet order 20\n")
+    # With a jet of order 10, the flag's level 11 is out of reach.
+    monkeypatch.setattr(ham, "ORDER", 10)
+    assert run(argv) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: flag level 11 needs the flow's Taylor order 11,"
+        " beyond its jet order 10\n")
+    with pytest.raises(fl.JetOrderError):
+        fl.flag_at(geo.structure_from_dict(rank_one_chain(11)),
+                   np.zeros(11), np.ones(11))

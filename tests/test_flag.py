@@ -10,6 +10,7 @@ from geoflow import expr as ex
 from geoflow import flag as fl
 from geoflow import geometry as geo
 from geoflow import hamiltonian as ham
+from geoflow import rho as rh
 
 import oracles
 
@@ -53,14 +54,17 @@ def test_heisenberg_flag_straight_line():
 
 
 def test_growth_profile_stacks_ragged_levels(monkeypatch):
-    # Along the straight line one level-1 bracket vanishes and becomes a
-    # zero row, so the two points still share one SVD per level.
-    sys = catalog.builtin("heisenberg3")
-    points = [(np.zeros(3), np.array([1.0, 0.0, 0.0])),
-              (np.zeros(3), np.array([1.0, 0.0, 1.0]))]
+    # Martinet's flag pauses at the base and not at t = 0.3, so the two
+    # times of one geodesic close at different levels and still share one
+    # SVD per level; stacked, each keeps its one-time profile and columns
+    # bit for bit.
+    sys = catalog.martinet()
+    x0, p0 = np.zeros(3), np.array([1.0, 1.0, 0.7])
+    times = [0.0, 0.3]
     factors = (1.0, 0.1, 10.0)
-    singles = [fl._growth_profile(sys, x[None], p[None], 5, factors)[0]
-               for x, p in points]
+    singles = [fl._growth_profile(ham.Geodesic(sys, x0, p0), [t], 5,
+                                  factors)[0] for t in times]
+    geodesic = ham.Geodesic(sys, x0, p0)
     svds = []
     inner = np.linalg.svd
 
@@ -69,16 +73,14 @@ def test_growth_profile_stacks_ragged_levels(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    xs, ps = (np.array(stack) for stack in zip(*points))
-    stacked = fl._growth_profile(sys, xs, ps, 5, factors)
-    assert svds == [(2, 3, 2), (2, 3, 4)]
+    stacked = fl._growth_profile(geodesic, times, 5, factors)
+    assert svds == [(2, 3, 2), (2, 3, 4), (1, 3, 6)]
     for (profiles, columns), (one_profiles, one_columns) in zip(stacked,
                                                                 singles):
         assert profiles == one_profiles
-        assert len(columns) == len(one_columns) == 2
+        assert len(columns) == len(one_columns)
         assert all(np.array_equal(a, b) for a, b in zip(columns, one_columns))
-    assert [sum(np.count_nonzero(np.any(C != 0.0, axis=0)) for C in columns)
-            for _, columns in stacked] == [3, 4]
+    assert [len(columns) for _, columns in stacked] == [3, 2]
 
 
 def test_engel_flag_generic():
@@ -168,22 +170,27 @@ def _nearly_contact(eps):
 
 
 def test_tolerance_sensitive_growth_is_diagnosed():
+    # The flag's smallest normalized singular value at level 2 is
+    # 6.97e-10 at eps = 3e-9, under RANK_TOL, and 1.095e-9 at level 3:
+    # the 1x growth pauses, and both other tolerances read another growth.
     p0 = np.array([1.0, 0.5, 0.3])
     f = fl.flag_at(_nearly_contact(3e-9), np.zeros(3), p0)
-    assert f.growth == (2, 3)
+    assert f.growth == (2, 2, 3)
     assert f.diagnostics == (
+        "growth vector is tolerance sensitive: (2, 3) at 0.1 times the"
+        " rank tolerance",
         "growth vector is tolerance sensitive: (2, 2, 2) at 10 times the"
-        " rank tolerance",)
+        " rank tolerance")
     sys = _nearly_contact(3e-10)
     f = fl.flag_at(sys, np.zeros(3), p0)
     assert f.growth == (2, 2)
     assert not f.ample
     assert f.diagnostics == (
-        "growth vector is tolerance sensitive: (2, 3) at 0.1 times the"
+        "growth vector is tolerance sensitive: (2, 2, 3) at 0.1 times the"
         " rank tolerance",)
-    # the bracket columns are those of the reported (1x) profile
-    [(_, columns)] = fl._growth_profile(sys, np.zeros(3)[None], p0[None],
-                                        sys.dim + 2, (1.0, 0.1, 10.0))
+    # the level columns are those of the reported (1x) profile
+    [(_, columns)] = fl._growth_profile(ham.Geodesic(sys, np.zeros(3), p0),
+                                        [0.0], sys.dim + 2, (1.0, 0.1, 10.0))
     assert len(columns) == len(f.raw_ranks)
 
 
@@ -240,10 +247,10 @@ def test_control_jet_matches_flow_derivatives():
     sys = catalog.builtin("engel")
     x0 = np.zeros(4)
     p0 = np.array([0.8, 0.6, 0.5, -0.4])
-    coeffs = fl.control_jet(sys, x0, p0, 2)
+    coeffs = oracles.control_jet(sys, x0, p0, 2)
     h = 1e-3
     def controls(x, p):
-        return fl.control_jet(sys, x, p, 0)[:, 0]
+        return oracles.control_jet(sys, x, p, 0)[:, 0]
 
     u = {dt: controls(*oracles.flow(sys, x0, p0, dt))
          for dt in (-2 * h, -h, h, 2 * h)}
@@ -285,7 +292,7 @@ def test_control_jet_is_the_poisson_bracket_with_h(name):
     for _ in range(2):
         x = rng.uniform(lo, hi, size=sys.dim)
         p = rng.uniform(-1.0, 1.0, size=sys.dim)
-        got = fl.control_jet(sys, x, p, 3)
+        got = oracles.control_jet(sys, x, p, 3)
         want = oracles.poisson_chain(sys, x, p, 3)
         # relative to the largest coefficient of each order
         gap = np.max(np.abs(got - want) / np.max(np.abs(want), axis=0))
@@ -295,8 +302,8 @@ def test_control_jet_is_the_poisson_bracket_with_h(name):
 @pytest.mark.parametrize("name", ["heisenberg3", "engel", "heisenberg5:1,2"])
 def test_hamiltonian_is_differentiated_once_per_phase_coordinate(
         name, monkeypatch):
-    # The Taylor flow's field and the control jet share one derivation of
-    # the Hamiltonian field.
+    # The Taylor flow's field and the oracle's control jet share one
+    # derivation of the Hamiltonian field.
     sys = catalog.builtin(name)
     H = ham.hamiltonian(sys)
     calls = []
@@ -309,14 +316,14 @@ def test_hamiltonian_is_differentiated_once_per_phase_coordinate(
 
     monkeypatch.setattr(ex, "diff", counted)
     ham._taylor_fn(sys)
-    fl.control_jet(sys, np.zeros(sys.dim), np.ones(sys.dim), 3)
+    oracles.control_jet(sys, np.zeros(sys.dim), np.ones(sys.dim), 3)
     assert sorted(calls) == list(range(2 * sys.dim))
 
 
 def test_controls_are_row_zero_of_the_control_jet():
     sys = catalog.builtin("heisenberg3")
     p0 = np.array([0.3, -0.5, 2.0])
-    u = fl.control_jet(sys, np.zeros(3), p0, 0)[:, 0]
+    u = oracles.control_jet(sys, np.zeros(3), p0, 0)[:, 0]
     assert np.allclose(u, [0.3, -0.5])
 
 
@@ -348,17 +355,17 @@ def test_bracket_columns_match_brackets_of_the_extension(name):
     for _ in range(2):
         x = rng.uniform(-0.6, 0.6, size=sys.dim)
         p = catalog.sample_covector(name, rng)
-        u = fl.control_jet(sys, x, p, 0)[:, 0]
-        [alpha], _ = fl._time_gradient(sys.drift_at(x[None]),
+        u = oracles.control_jet(sys, x, p, 0)[:, 0]
+        [alpha], _ = oracles._time_gradient(sys.drift_at(x[None]),
                                        sys.frame_matrix(x[None]), u[None])
         for j in range(1, fl.flag_at(sys, x, p).step):
-            got = fl._bracket_columns(sys, x, alpha,
-                                      fl.control_jet(sys, x, p, j))
+            got = oracles._bracket_columns(sys, x, alpha,
+                                      oracles.control_jet(sys, x, p, j))
             for order in (j, j + 2):
                 T = oracles.admissible_extension(sys, x, p, order)
                 fields = sys.frame
                 for _ in range(j):
-                    fields = [geo.lie_bracket(T, W) for W in fields]
+                    fields = [oracles.lie_bracket(T, W) for W in fields]
                 want = ex.compile_exprs(
                     [c for W in fields for c in W.components])(x)
                 want = want.reshape(sys.rank, sys.dim).T
@@ -397,9 +404,9 @@ def test_simplify_output_is_a_fixed_point(name):
     exprs = list(ham._hamiltonian_field(sys))
     for X in sys.frame:
         for Y in sys.frame:
-            exprs += geo.lie_bracket(X, Y).components
+            exprs += oracles.lie_bracket(X, Y).components
     for j in range(1, 4):
-        fl._extension_fn(sys, j)
+        oracles._extension_fn(sys, j)
     for key, fields in sys._cache.items():
         if key[0] == "ext_T":
             exprs += fields.components
@@ -415,5 +422,103 @@ def test_engel_level_two_expressions_stay_small():
     # The graded extension keeps (ad T)^2 X_a at 97 distinct nodes; the
     # bracket chain of the x0-parametric extension it replaced had 265.
     sys = catalog.builtin("engel")
-    fields = fl._extension_coefficient(sys, 2, 0)
+    fields = oracles._extension_coefficient(sys, 2, 0)
     assert _distinct_nodes(c for W in fields for c in W.components) < 150
+
+
+# ----------------------------------------------------------------------
+# The flag from the flow's jets against the symbolic graded extension
+
+
+def _binds_to_the_symbolic_flag(sys, x0, p0, times=(-0.1, 0.05, 0.2)):
+    # Raw ranks and growth equal those of the brackets of the extension,
+    # and G at the base and along the flow agrees to 1e-12.
+    geodesic = ham.Geodesic(sys, x0, p0)
+    flag = fl.flag_from(geodesic)
+    raw, _ = oracles.symbolic_flag(sys, x0, p0)
+    assert flag.raw_ranks == raw
+    assert flag.growth == fl._trim(raw, sys.dim)[0]
+    if flag.ample:
+        times = [0.0] + list(times)
+        got = rh.gram_from(geodesic, flag, times)
+        want = oracles.symbolic_gram(geodesic, flag.raw_ranks, times)
+        gap = max(abs(got[t] - want[t]) for t in times)
+        assert gap <= 1e-12, gap
+    return flag
+
+
+@pytest.mark.parametrize("name", [
+    "euclidean:3", "euclidean:2:psi=0.3*x1 - x2^2", "sphere2", "heisenberg3",
+    "heisenberg5:1,2", "heisenberg5:2,5", "engel"])
+def test_jet_flag_binds_to_the_symbolic_flag_on_builtins(name):
+    sys = catalog.builtin(name)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        x0 = catalog.default_base(sys) + rng.uniform(-0.4, 0.4, sys.dim)
+        flag = _binds_to_the_symbolic_flag(
+            sys, x0, catalog.sample_covector(name, rng))
+        assert flag.ample
+
+
+def test_jet_flag_binds_to_the_symbolic_flag_on_martinet():
+    # The growth changes along these flows, so G is compared at the base.
+    sys = catalog.martinet()
+    rng = np.random.default_rng(19)
+    for p0 in [rng.uniform(-1.0, 1.0, 3) for _ in range(3)]:
+        _binds_to_the_symbolic_flag(sys, np.zeros(3), p0, times=())
+    assert _binds_to_the_symbolic_flag(
+        sys, np.zeros(3), np.array([1.0, 1.0, 0.8]),
+        times=()).growth == (2, 2, 3)
+    # the abnormal covector: the flag stays at rank 2
+    flag = _binds_to_the_symbolic_flag(sys, np.zeros(3),
+                                       np.array([0.0, 1.0, 0.0]))
+    assert not flag.ample
+    assert set(flag.raw_ranks) == {2}
+
+
+@pytest.mark.parametrize("name, drift, potential", [
+    ("heisenberg3", ["x2", "0", "0"], "x1^2"),
+    ("heisenberg3", ["0", "0", "x1*x2"], None)])
+def test_jet_flag_binds_to_the_symbolic_flag_with_drift_and_potential(
+        name, drift, potential):
+    sys = catalog.with_overrides(catalog.builtin(name), drift=drift,
+                                 potential=potential)
+    for x0 in (np.zeros(3), np.array([0.2, -0.1, 0.4])):
+        assert _binds_to_the_symbolic_flag(
+            sys, x0, np.array([0.6, 0.8, 1.1])).ample
+
+
+def test_jet_flag_binds_to_the_symbolic_flag_on_every_node_kind():
+    sys = geo.load_structure(oracles.NODE_KINDS)
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        _binds_to_the_symbolic_flag(sys, rng.uniform(0.6, 1.2, sys.dim),
+                                    rng.uniform(-1.0, 1.0, sys.dim),
+                                    times=(-0.05, 0.05, 0.1))
+
+
+def test_times_served_by_later_jets_read_as_a_fresh_geodesic():
+    # At 10 p0 engel's jets step about 0.03, so times out to 0.2 are served
+    # by later jets at offsets from their own points; growth and G there
+    # equal those of a geodesic started at the served state.
+    sys = catalog.builtin("engel")
+    x0, p0 = np.zeros(4), 10.0 * np.array([0.8, 0.6, 0.5, -0.4])
+    geodesic = ham.Geodesic(sys, x0, p0)
+    times = [0.05, 0.1, 0.15, 0.2]
+    results = fl._growth_profile(geodesic, times, sys.dim + 2)
+    assert len(geodesic.jets_at(times)) == len(times)
+    comp = geo.aux_frame_at(sys, x0).complement
+    xs, ps, _ = geodesic.at(times)
+
+    def gram(x, raw, columns):
+        aux = geo.aux_frame_at(sys, x[None], comp).matrix
+        return 0.5 * float(np.sum(rh._gram_log_of_levels(
+            aux, raw, [C[None] for C in columns])))
+
+    for x, p, ((raw,), columns) in zip(xs, ps, results):
+        [((fresh,), fresh_columns)] = fl._growth_profile(
+            ham.Geodesic(sys, x, p), [0.0], sys.dim + 2)
+        assert raw == fresh
+        assert fl._trim(raw, sys.dim)[0] == (2, 3, 4)
+        gap = abs(gram(x, raw, columns) - gram(x, fresh, fresh_columns))
+        assert gap <= 1e-12, gap

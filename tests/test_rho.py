@@ -28,8 +28,8 @@ WE3_GRAD = np.array([0.3, -0.2, 0.5])
 
 
 def _series(sys, x0, p0):
-    dimension = fl.flag_at(sys, x0, p0).dimension
-    return rh.rho_series_from(ham.Geodesic(sys, x0, p0), dimension)
+    geodesic = ham.Geodesic(sys, x0, p0)
+    return rh.rho_series_from(geodesic, fl.flag_from(geodesic))
 
 
 def test_euclidean_rho_vanishes():
@@ -186,8 +186,8 @@ def test_gram_dets_positive_and_unimodular():
     sys = catalog.builtin("heisenberg3")
     p0 = np.array([1.0, 0.0, 1.0])
     flag = fl.flag_at(sys, np.zeros(3), p0)
-    [(_, columns)] = fl._growth_profile(sys, np.zeros(3)[None], p0[None],
-                                        sys.dim + 2)
+    [(_, columns)] = fl._growth_profile(ham.Geodesic(sys, np.zeros(3), p0),
+                                        [0.0], sys.dim + 2)
     aux = geo.aux_frame_at(sys, np.zeros(3))
     # a stack of one point
     (logs,) = rh._gram_log_of_levels(
@@ -308,17 +308,17 @@ def test_non_ample_covector_rejected_before_integrating(monkeypatch):
 
 def test_scaling_checks_one_flag_and_geodesic_per_covector(monkeypatch):
     flags, geodesics = [], []
-    flag_at, transition_many = fl.flag_at, ham.transition_many
+    flag_from, transition_many = fl.flag_from, ham.transition_many
 
     def counted_flag(*args, **kwargs):
         flags.append(args)
-        return flag_at(*args, **kwargs)
+        return flag_from(*args, **kwargs)
 
     def counted_transitions(*args, **kwargs):
         geodesics.append(args)
         return transition_many(*args, **kwargs)
 
-    monkeypatch.setattr(fl, "flag_at", counted_flag)
+    monkeypatch.setattr(fl, "flag_from", counted_flag)
     monkeypatch.setattr(ham, "transition_many", counted_transitions)
     sys = catalog.builtin("heisenberg3")
     oracles.scaling_checks(sys, np.zeros(3), np.array([0.6, 0.8, 1.1]),

@@ -62,6 +62,19 @@ DEGENERATING_FRAME = {"dim": 2, "rank": 2, "X0": ["0", "0"],
 # The tests' structure whose Hamiltonian field has every node kind.
 NODE_KINDS = ROOT / "tests" / "node_kinds.json"
 
+
+def rank_one_chain(step):
+    """x1' = u, x_(i+1)' = x_i: growth (1, 2, ..., step)."""
+    return {"dim": step, "rank": 1,
+            "X0": ["0"] + ["x%d" % i for i in range(1, step)],
+            "frame": [["1"] + ["0"] * (step - 1)], "Q": "0", "density": "1"}
+
+
+# Step 6 reads the flow's jet to order 6 for the flag and 12 for rho's
+# series; step 11 would need order 22 > ORDER for the series.
+CHAIN6_COVECTORS = ["1,0.3,-0.2,0.1,0.5,-0.4", "0.8,-0.6,0,0.2,0,0.1"]
+CHAIN11_COVECTOR = "1,0.3,-0.2,0.1,0.5,-0.4,0.2,0,0.1,-0.1,0.3"
+
 SWEEPS = {
     "heisenberg3": ["1,0,1", "0,0,1", "1,0", "0.6,0.8,nan", "0.6,0.8,1.1",
                     "1e150,0,1", "1e200,0,1", "-0.3,0.9,-0.7"],
@@ -85,12 +98,15 @@ def commands(tmp):
             out.append(["analyze", name, "--covector=" + _covector_text(p)])
     files = {"martinet": MARTINET, "vanishing-density": VANISHING_DENSITY,
              "overflowing-density": OVERFLOWING_DENSITY,
-             "degenerating-frame": DEGENERATING_FRAME}
+             "degenerating-frame": DEGENERATING_FRAME,
+             "chain6": rank_one_chain(6), "chain11": rank_one_chain(11)}
     for stem, data in files.items():
         (tmp / (stem + ".json")).write_text(json.dumps(data))
     for name, rows in SWEEPS.items():
         (tmp / (name + ".txt")).write_text("".join(r + "\n" for r in rows))
     (tmp / "overflowing-density.txt").write_text("1,0\n0.6,0.8\n")
+    (tmp / "chain6.txt").write_text("".join(r + "\n"
+                                            for r in CHAIN6_COVECTORS))
     martinet = str(tmp / "martinet.json")
     overflowing = str(tmp / "overflowing-density.json")
     out += [
@@ -150,6 +166,11 @@ def commands(tmp):
         + OVERFLOW_BASE,
         ["analyze", "--file", overflowing, "--covector", "1,0", "--no-fit"]
         + OVERFLOW_BASE,
+        # a deep flag, and a step beyond the jet's order
+        ["analyze", "--file", str(tmp / "chain6.json"), "--covector",
+         CHAIN6_COVECTORS[0], "--no-fit"],
+        ["analyze", "--file", str(tmp / "chain11.json"), "--covector",
+         CHAIN11_COVECTOR, "--no-fit"],
         ["analyze", "euclidean:2", "--covector", "1,0,0"],
         ["analyze", "nosuchspace", "--covector", "1"],
         ["analyze", "heisenberg3:7", "--covector", "0.6,0.8,1.1"],
@@ -158,6 +179,8 @@ def commands(tmp):
     out += [
         ["sweep", "--file", overflowing,
          str(tmp / "overflowing-density.txt")] + OVERFLOW_BASE,
+        ["sweep", "--file", str(tmp / "chain6.json"),
+         str(tmp / "chain6.txt")],
         ["expansion", "euclidean:2", "--covector", "1,0"],
         ["expansion", "engel", "--covector", "0.8,0.6,0.5,-0.4",
          "--samples", "10"],
