@@ -175,6 +175,31 @@ def _flag_section(flag):
     }
 
 
+def _fit_grid(window, samples):
+    """fit_times(window, samples) to read ahead, or none where the fit
+    will raise on the window."""
+    try:
+        return asym.fit_times(window, samples)
+    except asym.AsymptoticsError:
+        return []
+
+
+def _read_ahead(geodesic, along, gram, ratios):
+    """Serve, in one batch, the times the stages will read that the
+    geodesic's jet at t = 0 reaches, and compute there, in one stack
+    each and kept for the stages: the rank profiles of the base point
+    and of the growth-along-flow times `along` and the Gram times `gram`,
+    the densities of `gram` and of the volume-ratio times `ratios`, and
+    the log-determinants of `ratios`.  No jet grows here, and a failure
+    is left to the stage that meets it."""
+    try:
+        geodesic.at(geodesic.reached(along + gram + ratios))
+    except ham.IntegrationError:
+        return
+    fl.read_ahead(geodesic, geodesic.reached(along + gram))
+    rh.read_ahead(geodesic, geodesic.reached(gram), geodesic.reached(ratios))
+
+
 def analyze_report(system, x0, p0, window=asym.FIT_WINDOW,
                    samples=asym.FIT_SAMPLES, tol=ham.DEFAULT_TOL,
                    constant_tol=1e-3, rho_gap_tol=1e-5, ricci_tol=1e-2,
@@ -187,12 +212,19 @@ def analyze_report(system, x0, p0, window=asym.FIT_WINDOW,
         "covector": [float(v) for v in p0],
     }
     # The base flag is read from the geodesic's jet at t = 0, so a
-    # stationary covector is rejected before any time is served and a
-    # non-ample one is served only the times of its growth along the flow.
-    # Only the base flag's FlagError is a degenerate covector; one raised
-    # along the flow is a numerical failure.  One geodesic serves every
-    # stage, and one Gram pass serves rho and the fit.
+    # stationary covector is rejected before any jet grows.  Only the base
+    # flag's FlagError is a degenerate covector; one raised along the flow
+    # is a numerical failure.  One geodesic serves every stage, the times
+    # its jet at t = 0 reaches in one batch, and one Gram pass serves rho
+    # and the fit.
     geodesic = ham.Geodesic(system, x0, p0, tol)
+    gram_times, ratio_times = rh.rho_times(), []
+    if fit:
+        fit_grid = _fit_grid(window, samples)
+        gram_times += [0.0] + fit_grid
+        ratio_times = fit_grid + list(asym.PROBE_GRID)
+    _read_ahead(geodesic, fl.equiregular_times(window[1]), gram_times,
+                ratio_times)
     try:
         flag = fl.flag_from(geodesic)
     except fl.FlagError as err:
@@ -207,10 +239,9 @@ def analyze_report(system, x0, p0, window=asym.FIT_WINDOW,
                             else "growth vector changes along the flow")
         return report, EXIT_DEGENERATE
 
-    gram_times = rh.rho_times()
-    if fit:
+    if fit and not fit_grid:
+        # A window the fit cannot use raises here, after the flag stages.
         fit_grid = asym.fit_times(window, samples)
-        gram_times += [0.0] + fit_grid
     gram = rh.gram_from(geodesic, flag, gram_times)
     rho_gram = rh.rho_from(gram)
     rho_flow = rh.rho_series_from(geodesic, flag)
@@ -270,15 +301,16 @@ def _sweep_row(system, x0, line, window, samples, tol):
         if p0.size != system.dim:
             raise geo.GeometryError("covector size mismatch")
         geodesic = ham.Geodesic(system, x0, p0, tol)
+        fit_grid = asym.fit_times(window, samples)
+        gram_times = rh.rho_times() + [0.0] + fit_grid
+        _read_ahead(geodesic, [], gram_times, fit_grid)
         flag = fl.flag_from(geodesic)
         row["growth"] = " ".join(str(v) for v in flag.growth)
         if not flag.ample:
             row["status"] = "non-ample"
             return row
         row["dimension"] = str(flag.dimension)
-        fit_grid = asym.fit_times(window, samples)
-        gram = rh.gram_from(geodesic, flag,
-                            rh.rho_times() + [0.0] + fit_grid)
+        gram = rh.gram_from(geodesic, flag, gram_times)
         row["rho"] = repr(rh.rho_from(gram))
         fitted = asym.fit_expansion_from(geodesic, flag, gram, fit_grid)
         row["C_fit"] = repr(float(fitted.constant))
@@ -316,8 +348,10 @@ def cmd_expansion(args):
     x0 = _resolve_base(args, system)
     p0 = _resolve_covector(args, system)
     # The base flag comes first, as in analyze_report: a degenerate
-    # covector exits 2 before any time is served or anything is written.
+    # covector exits 2 before any jet grows or anything is written.
     geodesic = ham.Geodesic(system, x0, p0, args.tol)
+    grid = asym.fit_times(args.window, args.samples)
+    _read_ahead(geodesic, [], [0.0] + grid, grid)
     try:
         flag = fl.flag_from(geodesic)
     except fl.FlagError as err:
@@ -326,7 +360,6 @@ def cmd_expansion(args):
     if not flag.ample:
         _sys.stderr.write("non-ample covector\n")
         return EXIT_DEGENERATE
-    grid = asym.fit_times(args.window, args.samples)
     fitted = asym.fit_expansion_from(
         geodesic, flag, rh.gram_from(geodesic, flag, [0.0] + grid), grid)
     stream = _out_stream(args)

@@ -17,6 +17,12 @@ So the flag needs no symbolic work beyond the flow's: flag_from reads
 the geodesic's jet at t = 0, equiregular_from and rho.gram_from the jets
 that serve their times.  The flow's jet order hamiltonian.ORDER bounds
 the levels a flag can read.
+
+The rank profiles of a time are computed once per geodesic and kept in
+it, to the level cap dim + 2, one entry per time and tuple of factors
+of RANK_TOL.  read_ahead computes, in one rank pass, the base point at
+flag_from's FLAG_FACTORS and any times at RANK_TOL alone; the stages
+read those entries and compute in one more pass only the times missing.
 """
 
 from __future__ import annotations
@@ -34,10 +40,14 @@ from . import hamiltonian as ham
 __all__ = [
     "FlagError", "NonFiniteError", "JetOrderError", "GeodesicFlag",
     "flag_from", "flag_at", "geodesic_dimension", "homogeneous_weight",
-    "young_diagram", "leading_constant", "equiregular_from",
+    "young_diagram", "leading_constant", "equiregular_times",
+    "equiregular_from", "read_ahead",
 ]
 
 RANK_TOL = 1e-9
+
+# The factors of RANK_TOL at which flag_from reads the base flag's ranks.
+FLAG_FACTORS = (1.0, 0.1, 10.0)
 
 # Points of the geodesic, the base included, at which equiregular_from
 # compares growth vectors.
@@ -157,11 +167,13 @@ def _closed(ranks, dim):
         len(ranks) >= 3 and ranks[-1] == ranks[-2] == ranks[-3]))
 
 
-def _growth_profile(geodesic, times, max_step, factors=(1.0,)):
+def _growth_profile(geodesic, times, max_step, factors=None):
     """Rank profiles of the accumulated level columns at each of the times
-    along the geodesic, one per factor of RANK_TOL.  Returns one entry per
-    time: (profiles, level columns of the first profile's levels), or the
-    FlagError, NonFiniteError or JetOrderError that point raised.
+    along the geodesic, one per factor of RANK_TOL, the factors of each
+    time being the matching tuple of `factors` (by default (1.0,) for
+    every time).  Returns one entry per time: (profiles, level columns of
+    the first profile's levels), or the FlagError, NonFiniteError or
+    JetOrderError that point raised.
 
     Level 0 is the frame.  The later levels and the velocity come from the
     jets that serve the times, for all levels at once, when a profile
@@ -178,16 +190,19 @@ def _growth_profile(geodesic, times, max_step, factors=(1.0,)):
     profile still open past the jet's order fails with JetOrderError."""
     sys = geodesic.sys
     n, k = sys.dim, sys.rank
+    if factors is None:
+        factors = [(1.0,)] * len(times)
     xs, ps, _ = geodesic.at(times)
-    frames = sys.frame_matrix(xs)
+    frames = _frames(geodesic, times)
     depth = min(max_step, ham.ORDER)
-    profiles = [tuple([] for _ in factors) for _ in times]
+    profiles = [tuple([] for _ in f) for f in factors]
     per_level = [[] for _ in times]
-    rows = np.empty((len(times), 0, n))
+    rows = np.zeros((len(times), max_step * k, n))
     failed = {}
+    # The points with a profile still open, in order: all of them at
+    # level 0, and fewer at each level after.
+    live = list(range(len(times)))
     for j in range(max_step):
-        live = [i for i in range(len(times)) if i not in failed
-                and not all(_closed(r, n) for r in profiles[i])]
         if j == 1 and live:
             columns = np.empty((len(times), depth - 1, n, k))
             velocity, columns[live] = _jacobi_columns(
@@ -220,27 +235,63 @@ def _growth_profile(geodesic, times, max_step, factors=(1.0,)):
                     % (j + 1))
         live = [i for i in live if i not in failed]
         R, norms = R[finite], norms[finite, :, None]
-        rows = np.concatenate([rows, np.zeros((len(times), k, n))], axis=1)
-        rows[live, -k:] = np.divide(R, norms, out=np.zeros_like(R),
-                                    where=norms > 0.0)
-        sv = np.linalg.svd(np.swapaxes(rows[live], 1, 2), compute_uv=False)
-        by_factor = [np.sum(sv > RANK_TOL * factor * sv[:, :1], axis=1)
-                     for factor in factors]
+        rows[live, j * k:(j + 1) * k] = np.divide(
+            R, norms, out=np.zeros_like(R), where=norms > 0.0)
+        sv = np.linalg.svd(np.swapaxes(rows[live, :(j + 1) * k], 1, 2),
+                           compute_uv=False)
+        counts = {factor: np.sum(sv > RANK_TOL * factor * sv[:, :1],
+                                 axis=1).tolist()
+                  for factor in {f for i in live for f in factors[i]}}
+        still = []
         for g, i in enumerate(live):
-            for ranks, counts in zip(profiles[i], by_factor):
+            for ranks, factor in zip(profiles[i], factors[i]):
                 if _closed(ranks, n):
                     continue
-                r = int(counts[g])
+                r = counts[factor][g]
                 if j == 0 and r < k:
                     failed[i] = FlagError(
                         "frame fields are dependent at %s"
                         % (xs[i].tolist(),))
                     break
                 ranks.append(r)
+            else:
+                if not all(_closed(r, n) for r in profiles[i]):
+                    still.append(i)
+        live = still
     return [failed[i] if i in failed else (
         tuple(tuple(r) for r in profiles[i]),
         tuple(per_level[i][:len(profiles[i][0])]))
         for i in range(len(times))]
+
+
+def _frames(geodesic, times):
+    """The (P, n, k) frame at each of the times, kept in the geodesic."""
+    sys = geodesic.sys
+    return np.array(geodesic.kept("frame", times, lambda new: list(
+        sys.frame_matrix(geodesic.at(new)[0])))).reshape(
+        len(times), sys.dim, sys.rank)
+
+
+def _kept_profiles(geodesic, times, factors):
+    """_growth_profile at the level cap dim + 2 at each of the times, with
+    the factors for all of them, kept in the geodesic."""
+    return geodesic.kept(("ranks", factors), times, lambda new: (
+        _growth_profile(geodesic, new, geodesic.sys.dim + 2,
+                        [factors] * len(new))))
+
+
+def read_ahead(geodesic, times):
+    """One rank pass over the base point, at flag_from's factors, and the
+    times (served already), at RANK_TOL alone, each kept in the geodesic
+    for flag_from, equiregular_from and rho.gram_from to read."""
+    times = list(dict.fromkeys(float(t) for t in times))
+    base, *results = _growth_profile(
+        geodesic, [0.0] + times, geodesic.sys.dim + 2,
+        [FLAG_FACTORS] + [(1.0,)] * len(times))
+    by_time = dict(zip(times, results))
+    geodesic.kept(("ranks", FLAG_FACTORS), [0.0], lambda new: [base])
+    geodesic.kept(("ranks", (1.0,)), times,
+                  lambda new: [by_time[t] for t in new])
 
 
 def _first_failure_raised(results):
@@ -277,13 +328,12 @@ def flag_from(geodesic):
     """
     sys = geodesic.sys
     max_step = sys.dim + 2
-    factors = (1.0, 0.1, 10.0)
     [((raw, *alts), _)] = _first_failure_raised(
-        _growth_profile(geodesic, [0.0], max_step, factors))
+        _kept_profiles(geodesic, [0.0], FLAG_FACTORS))
     diagnostics = [
         "growth vector is tolerance sensitive: %r at %g times the rank"
         " tolerance" % (alt, factor)
-        for factor, alt in zip(factors[1:], alts) if alt != raw]
+        for factor, alt in zip(FLAG_FACTORS[1:], alts) if alt != raw]
     ample = raw[-1] == sys.dim
     growth, kept = _trim(raw, sys.dim)
     if not ample and len(raw) >= 2 and raw[-1] > raw[-2]:
@@ -340,17 +390,22 @@ def leading_constant(young_rows):
     return out
 
 
+def equiregular_times(t_max):
+    """The trajectory times equiregular_from reads past the base: the
+    rest of EQUIREGULAR_SAMPLES evenly spaced points of [0, t_max]."""
+    return [t_max * i / (EQUIREGULAR_SAMPLES - 1)
+            for i in range(1, EQUIREGULAR_SAMPLES)]
+
+
 def equiregular_from(geodesic, flag, t_max):
     """Check that the growth vector is the same at EQUIREGULAR_SAMPLES
     evenly spaced points of [0, t_max] along the geodesic; `flag` is
     flag_from at its base covector.  Returns (verdict, growths), base
     first."""
     sys = geodesic.sys
-    times = [t_max * i / (EQUIREGULAR_SAMPLES - 1)
-             for i in range(1, EQUIREGULAR_SAMPLES)]
     # Only the growth is read here: one rank profile, no diagnostics.
     results = _first_failure_raised(
-        _growth_profile(geodesic, times, sys.dim + 2))
+        _kept_profiles(geodesic, equiregular_times(t_max), (1.0,)))
     growths = [flag.growth] + [_trim(raw, sys.dim)[0]
                                for (raw,), _ in results]
     verdict = all(g == flag.growth for g in growths)

@@ -108,12 +108,17 @@ class ControlSystem:
                          lambda: ex.compile_exprs(self.X0.components))
         return fn(x)
 
+    def density_values(self, x):
+        """The density's formula at x, NaN where it overflows or leaves
+        its domain; density_at checks the values."""
+        fn = self.cached("density_fn",
+                         lambda: ex.compile_exprs([self.density]))
+        return fn(x)[..., 0]
+
     def density_at(self, x):
         """The density at x; GeometryError at the first point where it is
         not finite or not positive."""
-        fn = self.cached("density_fn",
-                         lambda: ex.compile_exprs([self.density]))
-        values = fn(x)[..., 0]
+        values = self.density_values(x)
         bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
         if bad.size:
             i = int(bad[0])
@@ -178,6 +183,19 @@ def aux_frame_at(sys, x, complement=None):
     F = sys.frame_matrix(xs)
     if complement is None:
         complement = () if k == n else _greedy_complement(F[0], n, k)
+    Y = _unimodular(sys, xs, F, complement,
+                    lambda end: sys.density_at(xs[:end]))
+    return AuxFrame(matrix=Y if x.ndim > 1 else Y[0],
+                    complement=tuple(complement))
+
+
+def _unimodular(sys, xs, F, complement, density):
+    """The (P, n, n) bases of aux_frame_at at the points xs, from their
+    (P, n, k) frame values F and the coordinate indices `complement`;
+    density(end) gives the checked density at the points before the
+    first degenerate completion, end, and is called before that
+    completion raises."""
+    n, k = sys.dim, sys.rank
     complement = tuple(complement)
     if len(complement) != n - k:
         raise GeometryError("complement must list %d coordinate indices" % (n - k))
@@ -189,14 +207,13 @@ def aux_frame_at(sys, x, complement=None):
     col_scale = np.prod(np.linalg.norm(Y, axis=1), axis=1)
     bad = np.flatnonzero(np.abs(det0) < 1e-12 * np.maximum(col_scale, 1e-300))
     end = int(bad[0]) if bad.size else len(xs)
-    # The density of the points before the first degenerate one.
-    m = sys.density_at(xs[:end])
+    m = density(end)
     if bad.size:
         raise GeometryError(
             "degenerate completion %r at %s; choose a different complement"
             % (complement, xs[end].tolist()), index=end)
     Y[:, :, -1] *= (1.0 / (m * det0))[:, None]
-    return AuxFrame(matrix=Y if x.ndim > 1 else Y[0], complement=complement)
+    return Y
 
 
 # ----------------------------------------------------------------------

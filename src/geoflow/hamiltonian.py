@@ -10,6 +10,12 @@ solves the variational system Mdot = DF(z) M with M(0) = I, so its upper
 right n-by-n block is the Jacobian of the endpoint with respect to the
 initial covector.  Both are flowed as Taylor series: one jet of order
 ORDER at t = 0 serves every time within its step, on either side.
+
+DF = Omega Hess(H), and Hess(H) is symmetric: the Taylor evaluator of a
+structure carries the m(m+1)/2 entries of its upper triangle along the
+flow, m = 2n, and each jet rebuilds DF from them with one index-and-sign
+table per dimension.  A Geodesic keeps what it serves, and what the
+stages compute at its times, so each is computed once per covector.
 """
 
 from __future__ import annotations
@@ -94,16 +100,47 @@ def _hamiltonian_field(sys):
 
 
 def _taylor_fn(sys):
-    """The Taylor evaluator of the Hamiltonian field, with the field's
-    row-major Jacobian along the flow as its extra expressions, so the
-    two share their common subexpressions."""
+    """The Taylor evaluator of the Hamiltonian field, with the upper
+    triangle of the Hessian of H along the flow as its extra expressions,
+    so the two share their common subexpressions.  The field's Jacobian
+    is Omega times that symmetric Hessian: _hessian_table rebuilds it.
+
+    The extra of the pair a <= b is the b-derivative of the field
+    component pi(a) = (a + n) mod 2n, which is +-d^2H/dz_a dz_b."""
     def build():
         field = _hamiltonian_field(sys)
-        jac = [ex.simplify(ex.diff(r, j))
-               for r in field for j in range(len(field))]
-        return ex.compile_taylor(field, jac)
+        m = len(field)
+        hessian = [ex.simplify(ex.diff(field[(a + m // 2) % m], b))
+                   for a in range(m) for b in range(a, m)]
+        return ex.compile_taylor(field, hessian)
 
     return sys.cached("taylor_fn", build)
+
+
+@functools.cache
+def _hessian_table(m):
+    """(index, sign), each of length m*m: entry (i, j) of the field's
+    Jacobian, in row-major order, is sign times the extra at index of the
+    flow's Taylor evaluator.
+
+    With pi the coordinate swap of _taylor_fn and s(a) = +1 for a >= n,
+    -1 below, the extra of a <= b is s(a) S_ab, S the Hessian of H, and
+    Jacobian entry (i, j) is s(pi(i)) S_(pi(i), j), i.e. s(pi(i)) s(c)
+    times the extra of (c, d) = (min, max)(pi(i), j)."""
+    n = m // 2
+    rows = {}
+    for a in range(m):
+        for b in range(a, m):
+            rows[a, b] = len(rows)
+    index, sign = [], []
+    for i in range(m):
+        r = (i + n) % m
+        for j in range(m):
+            c, d = min(r, j), max(r, j)
+            index.append(rows[c, d])
+            sign.append((1.0 if r >= n else -1.0) * (1.0 if c >= n
+                                                      else -1.0))
+    return np.array(index), np.array(sign)
 
 
 def energy_at(sys, x, p):
@@ -129,12 +166,18 @@ def _jet(sys, z, M, t, tol):
     order-j coefficients of z and Phi together, in max-norms."""
     m = z.size
     Z, E = _taylor_fn(sys)(z, ORDER)
-    J = E.reshape(ORDER, m, m)
-    Phi = np.empty((ORDER + 1, m, m))
-    Phi[0] = np.eye(m)
+    index, sign = _hessian_table(m)
+    # Row a of J holds row a of J_0, J_1, ..., and back holds Phi_k at
+    # ORDER - k, so that Phi_k, ..., Phi_0 is one contiguous block: each
+    # order is one matmul, the product np.tensordot would take.
+    J = np.swapaxes((E[:, index] * sign).reshape(ORDER, m, m), 0, 1)
+    J = J.reshape(m, ORDER * m)
+    back = np.empty((ORDER + 1, m, m))
+    back[ORDER] = np.eye(m)
     for k in range(ORDER):
-        Phi[k + 1] = np.tensordot(J[:k + 1], Phi[k::-1],
-                                  ([0, 2], [0, 1])) / (k + 1)
+        back[ORDER - k - 1] = (J[:, :(k + 1) * m]
+                               @ back[ORDER - k:].reshape(-1, m)) / (k + 1)
+    Phi = back[::-1]
     C = np.concatenate([Z, Phi.reshape(ORDER + 1, m * m)], axis=1)
     if not np.all(np.isfinite(C)):
         raise IntegrationError("the flow's Taylor series is not finite at"
@@ -153,13 +196,17 @@ _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 def _require_energy(ts, energies, e0):
     """IntegrationError at the first of the times ts whose energy is not
-    within ENERGY_SLACK of the start's e0; a non-finite energy never is."""
+    within ENERGY_SLACK of the start's e0; a non-finite energy never is,
+    and is reported as not finite rather than as a drift."""
     drifts = np.abs(np.subtract(energies, e0))
     bad = np.flatnonzero(~(drifts <= ENERGY_SLACK * (1.0 + abs(e0))))
     if bad.size:
-        t, drift = ts[bad[0]], float(drifts[bad[0]])
-        raise IntegrationError(
-            "energy drifted by %r at t=%r" % (drift, t), t_last=t)
+        t, energy = ts[bad[0]], energies[bad[0]]
+        if not math.isfinite(energy):
+            raise IntegrationError("energy is not finite at t=%r" % t,
+                                   t_last=t)
+        raise IntegrationError("energy drifted by %r at t=%r"
+                               % (float(drifts[bad[0]]), t), t_last=t)
 
 
 @_quiet
@@ -238,7 +285,10 @@ class Geodesic:
     kept, so what a stage reads does not depend on which stages read
     before it.  `jets_at` names the jet that served each time and the
     time's offset from it, for the stages that read a jet's coefficients
-    rather than the state."""
+    rather than the state.  `kept` holds what the stages compute at each
+    time (rank profiles, frames, densities, log-determinants) the same
+    way, so a stage reads what another stage, or one stack computed
+    ahead for several stages, already has."""
 
     @_quiet
     def __init__(self, sys, x0, p0, tol=DEFAULT_TOL):
@@ -259,6 +309,7 @@ class Geodesic:
         self._row = {0.0: 0}
         self._source = {0.0: (-1.0, 0, 0.0)}
         self._z, self._M = self._z0[None], eye[None]
+        self._kept = {}
 
     @property
     def start_jet(self):
@@ -280,6 +331,24 @@ class Geodesic:
         rows = [self._row[t] for t in times]
         z = self._z[rows]
         return z[:, :self.sys.dim], z[:, self.sys.dim:], self._M[rows]
+
+    def reached(self, times):
+        """The times, in their order, that the jet at t = 0 serves: `at`
+        serves them without computing a jet."""
+        h = self.start_jet[1]
+        return [t for t in times if abs(t) <= h]
+
+    def kept(self, key, times, compute):
+        """The stage product `key` at each of the times, in their order,
+        each computed once per geodesic: compute(new) gets the times not
+        yet kept, once each, in the order they first appear, and returns
+        one value per time."""
+        table = self._kept.setdefault(key, {})
+        new = list(dict.fromkeys(float(t) for t in times
+                                 if float(t) not in table))
+        if new:
+            table.update(zip(new, compute(new)))
+        return [table[float(t)] for t in times]
 
     def jets_at(self, times):
         """The jets that serve the times, as a list of (C, index, s): the

@@ -30,7 +30,13 @@ points with one evaluator, LAPACK or matmul call per step, and
 log_volume_ratios_from takes one log-determinant call and one density
 call for all its times.  The evaluators run each point through the same
 scalar code and LAPACK treats each matrix of a stack on its own, so
-every value equals its one-point computation bit for bit.
+every value equals its one-point computation bit for bit.  The frames,
+rank profiles, densities and vertical log-determinants of a time are
+kept in the geodesic, so a stage computes only the times no stage and
+no read-ahead (flag.read_ahead, read_ahead) has computed: gram_from
+takes the base completion from one aux_frame_at call and assembles the
+bases from the kept frames and densities, and the fit and the exponent
+probe read one stack of volume ratios.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from . import hamiltonian as ham
 __all__ = [
     "RhoError", "gram_from", "rho_times", "rho_from", "rho",
     "log_volume_ratios_from", "log_volume_ratios", "rho_series_from",
+    "read_ahead",
 ]
 
 # Step of the finite differences of G that give rho.
@@ -145,18 +152,29 @@ def gram_from(geodesic, flag, times):
     # earliest along the flow.
     distinct = sorted({float(t) for t in times}, key=lambda t: (abs(t), t))
     xs, _, _ = geodesic.at(distinct)
+    frames = fl._frames(geodesic, distinct)
+
+    def density(end):
+        return _densities(geodesic, distinct[:end])
+
     failure = None
     try:
-        aux = geo.aux_frame_at(sys, xs, comp).matrix
+        aux = geo._unimodular(sys, xs, frames, comp, density)
     except geo.GeometryError as err:
         failure = RhoError("auxiliary completion degenerated at t=%r: %s"
                            % (distinct[err.index], err))
-        aux = geo.aux_frame_at(sys, xs[:err.index], comp).matrix
+        aux = geo._unimodular(sys, xs[:err.index], frames[:err.index], comp,
+                              density)
     # A point after a failing one cannot change the error raised, so each
     # check runs only on the points before the first failure so far.
+    points = distinct[:len(aux)]
+    results = fl._kept_profiles(geodesic, points, (1.0,))
+    if any(isinstance(result, Exception) for result in results):
+        # The kept profiles go to the flag's level cap; a point that
+        # fails there may pass at the Gram pass's own cap, which decides.
+        results = fl._growth_profile(geodesic, points, len(expected))
     columns = []
-    for result in fl._growth_profile(geodesic, distinct[:len(aux)],
-                                     len(expected)):
+    for result in results:
         if isinstance(result, Exception):
             failure = result
             break
@@ -164,7 +182,7 @@ def gram_from(geodesic, flag, times):
         if ranks != expected:
             failure = RhoError(
                 "growth vector changed along the flow: %r versus %r"
-                % (ranks, expected))
+                % (ranks[:len(expected)], expected))
             break
         columns.append(per_level)
     logs = _gram_log_of_levels(aux[:len(columns)], expected,
@@ -173,6 +191,41 @@ def gram_from(geodesic, flag, times):
         raise failure
     return dict(zip(distinct, (0.5 * np.sum(logs, axis=1)).astype(float)
                     .tolist()))
+
+
+def _densities(geodesic, times):
+    """The density at each of the times, each evaluated once per
+    geodesic; GeometryError, indexed in `times`, at the first that is not
+    finite or not positive."""
+    values = np.array(_density_values(geodesic, times))
+    if not np.all(np.isfinite(values) & (values > 0.0)):
+        geodesic.sys.density_at(geodesic.at(times)[0])
+    return values
+
+
+def _density_values(geodesic, times):
+    """The density's formula at each of the times, evaluated once per
+    geodesic, unchecked."""
+    return geodesic.kept("density", times, lambda new: (
+        geodesic.sys.density_values(geodesic.at(new)[0]).tolist()))
+
+
+def _log_dets(geodesic, times):
+    """log|det| of the vertical Jacobian at each of the times, each
+    computed once per geodesic."""
+    return geodesic.kept("log_det", times, lambda new: ham.signed_log_det(
+        ham.vertical_jacobian(geodesic.at(new)[2], geodesic.sys.dim))[1]
+        .tolist())
+
+
+def read_ahead(geodesic, gram_times, ratio_times):
+    """The densities at gram_times and ratio_times, from one evaluation,
+    and the vertical log-determinants at ratio_times, from one stack,
+    kept in the geodesic for gram_from and log_volume_ratios_from.  The
+    times must be served already; a failing density is left to the
+    stage that reads it."""
+    _density_values(geodesic, gram_times + ratio_times)
+    _log_dets(geodesic, ratio_times)
 
 
 def rho_times(s=0.0):
@@ -205,20 +258,18 @@ def rho(sys, x0, p0):
 def log_volume_ratios_from(geodesic, times):
     """log of the volume ratio at each time, read from the geodesic's
     transition matrices, with one log-determinant call and one density
-    call for all of them.  A density that fails at a point of the flow
+    call for all of them that the geodesic does not keep yet.  A density that fails at a point of the flow
     raises RhoError naming its time; one that fails at the base point is
     an input error."""
-    sys = geodesic.sys
     log_m0 = geodesic.log_density0
-    xs, _, M = geodesic.at(times)
-    _, lds = ham.signed_log_det(ham.vertical_jacobian(M, sys.dim))
+    lds = _log_dets(geodesic, times)
     try:
-        densities = sys.density_at(xs)
+        densities = _densities(geodesic, times)
     except geo.GeometryError as err:
         raise RhoError("along the flow at t=%r: %s"
                        % (float(times[err.index]), err)) from None
     return np.array([ld + math.log(m) - log_m0
-                     for ld, m in zip(lds.tolist(), densities.tolist())])
+                     for ld, m in zip(lds, densities.tolist())])
 
 
 def log_volume_ratios(sys, x0, p0, times):

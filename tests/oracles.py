@@ -4,6 +4,9 @@
   one time.
 - lie_series: the Taylor coefficients of the flow at t = 0 from symbolic
   Lie derivatives of the Hamiltonian field.
+- full_jacobian_fn: the flow's Taylor evaluator with all (2n)^2 entries
+  of the field's Jacobian as its extras, the build the flow used before
+  it read the Hessian's upper triangle, kept as its reference.
 - poisson_chain: the Taylor coefficients of the controls at t = 0 from
   symbolic Poisson brackets with the Hamiltonian.
 - lie_bracket: the bracket of two symbolic vector fields.
@@ -86,6 +89,19 @@ def lie_series(sys, x0, p0, order):
             for g in rows[-1]])
     return np.array([[ex.evaluate(g, point) / math.factorial(k) for g in row]
                      for k, row in enumerate(rows)])
+
+
+def full_jacobian_fn(sys):
+    """The Taylor evaluator of the Hamiltonian field with its row-major
+    Jacobian along the flow as the extras, each entry differentiated on
+    its own: row k of the extras holds the order-k coefficients of DF."""
+    def build():
+        field = ham._hamiltonian_field(sys)
+        jac = [ex.simplify(ex.diff(r, j))
+               for r in field for j in range(len(field))]
+        return ex.compile_taylor(field, jac)
+
+    return sys.cached("full_jacobian_fn", build)
 
 
 def poisson_chain(sys, x, p, order):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import geoflow.asymptotics as asym
 import geoflow.catalog as catalog
 import geoflow.cli as cli
 import geoflow.exact as exact
@@ -369,7 +370,8 @@ def test_sweep_statuses_in_input_order(tmp_path, capsys):
     # the energy at the start overflows, so the geodesic fails before the
     # flag: a failure with no growth vector, not non-ample
     for line in lines[7:9]:
-        assert ",,,,,,,integration-failure: energy drifted by nan" in line
+        assert (",,,,,,,integration-failure: energy is not finite at t=0.0"
+                in line)
         assert "non-ample" not in line
     # the jet at t = 0 is not finite, and the flag is read from it
     assert ",,,,,,,integration-failure: " in lines[9]
@@ -557,7 +559,11 @@ def _counting(monkeypatch, owner, name):
 def test_one_base_flag_per_covector(monkeypatch, tmp_path, capsys):
     flags = _counting(monkeypatch, fl, "flag_from")
     profiles = _counting(monkeypatch, fl, "_growth_profile")
+    columns = _counting(monkeypatch, fl, "_jacobi_columns")
     grams = _counting(monkeypatch, rh, "gram_from")
+    batches = _counting(monkeypatch, ham, "transition_many")
+    auxes = _counting(monkeypatch, geo, "aux_frame_at")
+    log_dets = _counting(monkeypatch, ham, "signed_log_det")
     system = catalog.builtin("engel")
     _, code = cli.analyze_report(system, np.zeros(4),
                                  np.array([0.8, 0.6, 0.5, -0.4]))
@@ -565,9 +571,15 @@ def test_one_base_flag_per_covector(monkeypatch, tmp_path, capsys):
     assert len(flags) == 1
     # one Gram pass serves rho and the fit
     assert len(grams) == 1
-    # 1 for the base flag, 1 for the 4 points along the flow, and 1 for
-    # the Gram stack
-    assert len(profiles) <= 3
+    # The jet at t = 0 reaches every time the stages read, so one batch
+    # serves them, and one rank pass over the base, the 4 points along the
+    # flow and the Gram points serves the three stages that read ranks;
+    # they made 3 batches and 3 passes, one per stage.  The Gram pass
+    # takes the base completion once and reads the kept frames and
+    # densities, and the fit and the exponent probe read one stack of
+    # volume ratios.
+    assert (len(batches), len(profiles), len(columns)) == (1, 1, 1)
+    assert (len(auxes), len(log_dets)) == (1, 1)
 
     del flags[:], grams[:]
     batch = tmp_path / "covs.txt"
@@ -582,15 +594,17 @@ def test_analyze_lapack_budget(monkeypatch):
     # Each stage stacks its per-point linear algebra: one call per level,
     # not one per point, which made 334 SVDs and 73 log-determinants here.
     # The level Gram determinants are eliminated, not read from an SVD,
-    # which took the SVDs from 17 to 14.
+    # which took the SVDs from 17 to 14, and one rank pass of 3 levels
+    # serves the base flag, the growth along the flow and the Gram points,
+    # which took them to 8: 3 for the ranks, 5 for the Gram levels.
     svds = _counting(monkeypatch, np.linalg, "svd")
     slogdets = _counting(monkeypatch, np.linalg, "slogdet")
     system = catalog.builtin("engel")
     _, code = cli.analyze_report(system, np.zeros(4),
                                  np.array([0.8, 0.6, 0.5, -0.4]))
     assert code == 0
-    assert len(svds) <= 14
-    assert len(slogdets) <= 2
+    assert len(svds) <= 8
+    assert len(slogdets) <= 1
 
 
 def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
@@ -602,7 +616,11 @@ def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
     # evaluates the start energy and the base density once each, which
     # took the count from 27 to 25, rho's second path reads no density or
     # energy along the flow, which took it to 23, and the flag reads no
-    # control jet and no bracket evaluator, which took it to 17.
+    # control jet and no bracket evaluator, which took it to 17.  One
+    # rank pass evaluates the frames of all the points the stages read,
+    # the Gram pass reads them and one density stack, and the fit and the
+    # probe read one volume-ratio stack: 8, and 2 frame evaluations, one
+    # of them the base completion's.
     frames = _counting(monkeypatch, geo.ControlSystem, "frame_matrix")
     evals = [0]
     inner = expr.compile_exprs
@@ -621,9 +639,9 @@ def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
     _, code = cli.analyze_report(system, np.zeros(4),
                                  np.array([0.8, 0.6, 0.5, -0.4]))
     assert code == 0
-    assert len(frames) <= 5
+    assert len(frames) <= 2
     assert "controls_fn" not in system._cache
-    assert evals[0] <= 17
+    assert evals[0] <= 8
 
 
 def test_analyze_compiles_one_control_evaluator(monkeypatch):
@@ -641,19 +659,22 @@ def test_analyze_compiles_one_control_evaluator(monkeypatch):
 
 
 def test_analyze_checks_the_flag_before_integrating(monkeypatch):
+    # The base flag reads the jet at t = 0: a degenerate or non-ample
+    # covector exits 2 with that one jet, after the one batch that serves
+    # the times the jet reaches.
     calls = _counting(monkeypatch, ham, "transition_many")
+    jets = _counting(monkeypatch, ham, "_jet")
     system = catalog.builtin("engel")
     report, code = cli.analyze_report(system, np.zeros(4), np.zeros(4))
     assert code == 2
     assert report["status"].startswith("degenerate covector")
-    assert calls == []
-    # non-ample: only the growth-along-the-flow times, one sign
+    assert (len(jets), len(calls)) == (1, 1)
+    del jets[:], calls[:]
     report, code = cli.analyze_report(system, np.zeros(4),
                                       np.array([0.0, 1.0, 0.0, 0.0]))
     assert code == 2
     assert report["status"] == "non-ample covector"
-    assert len(calls) == 1
-    assert calls[0][3] == [0.2 * i / 4 for i in range(1, 5)]
+    assert (len(jets), len(calls)) == (1, 1)
 
 
 @pytest.mark.parametrize("step", [6, 9])
@@ -694,3 +715,60 @@ def test_a_step_beyond_the_jet_order_fails_by_name(tmp_path, capsys,
     with pytest.raises(fl.JetOrderError):
         fl.flag_at(geo.structure_from_dict(rank_one_chain(11)),
                    np.zeros(11), np.ones(11))
+
+
+def test_reading_ahead_changes_no_result(monkeypatch):
+    # What the read-ahead computes, the stages would compute on their own:
+    # without it, every report, sweep row and error is the same, the
+    # failures met ahead (a blow-up, a degenerating completion, a density
+    # that overflows or vanishes along the flow, a frame that degenerates)
+    # included.
+    structure = geo.structure_from_dict
+    chain = structure(rank_one_chain(6))
+    cases = [
+        (catalog.builtin("engel"), [0, 0, 0, 0], [0.8, 0.6, 0.5, -0.4], {}),
+        (catalog.builtin("engel"), [0, 0, 0, 0], [0.8, 0.6, 0.5, -0.4],
+         {"window": (0.02, 1.0)}),
+        (catalog.builtin("engel"), [0, 0, 0, 0], [0, 1, 0, 0], {}),
+        (catalog.builtin("engel"), [0, 0, 0, 0], [0, 0, 0, 0], {}),
+        (catalog.builtin("heisenberg3"), [0, 0, 0], [1e150, 0, 1], {}),
+        (catalog.builtin("heisenberg3"), [0.2, -0.1, 0.4], [0.6, 0.8, 1.1],
+         {"fit": False}),
+        (catalog.builtin("sphere2"), [0, 0], [0.6, -0.8], {}),
+        (structure(MARTINET), [0, 0, 0], [1, 1, 0.7], {}),
+        (structure(OVERFLOWING_DENSITY), [709.7, 0], [1, 0], {}),
+        (structure(dict(OVERFLOWING_DENSITY, density="x1")), [0, 0], [1, 0],
+         {}),
+        (structure(dict(OVERFLOWING_DENSITY, frame=[["1", "0"],
+                                                    ["1", "x1 - 1"]])),
+         [0.9, 0], [1, 0], {}),
+        (catalog.with_overrides(catalog.builtin("euclidean:2"),
+                                drift=["20*x1^2", "0"]), [0, 0], [1, 0], {}),
+        (chain, [0] * 6, [1, 0.3, -0.2, 0.1, 0.5, -0.4], {"fit": False}),
+        # the flow leaves the domain of log(x1) before t = 0.05
+        (geo.load_structure(oracles.NODE_KINDS), [0.05, 0], [-1, 0.3], {}),
+    ]
+
+    def outcomes():
+        out = []
+        for system, x0, p0, options in cases:
+            x0, p0 = np.array(x0, float), np.array(p0, float)
+            try:
+                out.append(cli.analyze_report(system, x0, p0, **options))
+            except Exception as err:
+                out.append((type(err), str(err)))
+            text = ",".join(repr(float(v)) for v in p0)
+            out.append(cli._sweep_row(system, x0, text, asym.FIT_WINDOW,
+                                      asym.FIT_SAMPLES, ham.DEFAULT_TOL))
+        return out
+
+    ahead = outcomes()
+    monkeypatch.setattr(cli, "_read_ahead", lambda *args: None)
+    assert outcomes() == ahead
+    raised = {result[0].__name__ for result in ahead[::2]
+              if isinstance(result[0], type)}
+    codes = {result[1] for result in ahead[::2]
+             if not isinstance(result[0], type)}
+    assert raised == {"IntegrationError", "RhoError", "GeometryError",
+                      "AsymptoticsError", "FlagError"}
+    assert codes == {0, 2}

@@ -53,6 +53,26 @@ def test_heisenberg_flag_straight_line():
     assert f.ample
 
 
+def _svd_shapes(monkeypatch):
+    shapes = []
+    inner = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        shapes.append(args[0].shape)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
+
+
+def _equal_results(stacked, singles):
+    for (profiles, columns), (one_profiles, one_columns) in zip(stacked,
+                                                                singles):
+        assert profiles == one_profiles
+        assert len(columns) == len(one_columns)
+        assert all(np.array_equal(a, b) for a, b in zip(columns, one_columns))
+
+
 def test_growth_profile_stacks_ragged_levels(monkeypatch):
     # Martinet's flag pauses at the base and not at t = 0.3, so the two
     # times of one geodesic close at different levels and still share one
@@ -61,26 +81,33 @@ def test_growth_profile_stacks_ragged_levels(monkeypatch):
     sys = catalog.martinet()
     x0, p0 = np.zeros(3), np.array([1.0, 1.0, 0.7])
     times = [0.0, 0.3]
-    factors = (1.0, 0.1, 10.0)
-    singles = [fl._growth_profile(ham.Geodesic(sys, x0, p0), [t], 5,
-                                  factors)[0] for t in times]
+    factors = [(1.0, 0.1, 10.0)] * 2
+    singles = [fl._growth_profile(ham.Geodesic(sys, x0, p0), [t], 5, [f])[0]
+               for t, f in zip(times, factors)]
     geodesic = ham.Geodesic(sys, x0, p0)
-    svds = []
-    inner = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        svds.append(args[0].shape)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    svds = _svd_shapes(monkeypatch)
     stacked = fl._growth_profile(geodesic, times, 5, factors)
     assert svds == [(2, 3, 2), (2, 3, 4), (1, 3, 6)]
-    for (profiles, columns), (one_profiles, one_columns) in zip(stacked,
-                                                                singles):
-        assert profiles == one_profiles
-        assert len(columns) == len(one_columns)
-        assert all(np.array_equal(a, b) for a, b in zip(columns, one_columns))
+    _equal_results(stacked, singles)
     assert [len(columns) for _, columns in stacked] == [3, 2]
+
+
+def test_growth_profile_stacks_mixed_factors(monkeypatch):
+    # The base at the flag's three factors and flowed points at one, as
+    # the read-ahead stacks them, the base twice: each point keeps its
+    # one-point profiles and columns bit for bit, in one SVD per level.
+    sys = catalog.martinet()
+    x0, p0 = np.zeros(3), np.array([1.0, 1.0, 0.7])
+    times = [0.0, 0.0, 0.3, -0.1, 0.15]
+    factors = [(1.0, 0.1, 10.0), (1.0,), (1.0,), (1.0, 10.0), (0.1,)]
+    singles = [fl._growth_profile(ham.Geodesic(sys, x0, p0), [t], 5, [f])[0]
+               for t, f in zip(times, factors)]
+    geodesic = ham.Geodesic(sys, x0, p0)
+    svds = _svd_shapes(monkeypatch)
+    stacked = fl._growth_profile(geodesic, times, 5, factors)
+    assert len(svds) == 3
+    _equal_results(stacked, singles)
+    assert [len(profiles) for profiles, _ in stacked] == [3, 1, 1, 2, 1]
 
 
 def test_engel_flag_generic():
@@ -190,7 +217,8 @@ def test_tolerance_sensitive_growth_is_diagnosed():
         " rank tolerance",)
     # the level columns are those of the reported (1x) profile
     [(_, columns)] = fl._growth_profile(ham.Geodesic(sys, np.zeros(3), p0),
-                                        [0.0], sys.dim + 2, (1.0, 0.1, 10.0))
+                                        [0.0], sys.dim + 2,
+                                        [(1.0, 0.1, 10.0)])
     assert len(columns) == len(f.raw_ranks)
 
 

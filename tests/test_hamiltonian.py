@@ -237,6 +237,38 @@ def test_blowup_raises(monkeypatch):
     assert len(jets) <= 200
 
 
+@pytest.mark.parametrize("case", [
+    "euclidean:3", "euclidean:2:psi=0.3*x1 - x2^2", "sphere2", "heisenberg3",
+    "heisenberg5:1,2", "engel", "node-kinds", "heisenberg3+drift"])
+def test_jacobian_from_the_hessian_triangle(case):
+    # The flow's evaluator takes the m(m+1)/2 entries of the Hessian's
+    # upper triangle; the Jacobian _jet rebuilds from them is the one
+    # differentiated entry by entry, at every order of the jet at t = 0.
+    if case == "node-kinds":
+        sys = geo.load_structure(oracles.NODE_KINDS)
+        x0, p0 = np.array([1.0, 0.0]), np.array([0.6, 0.8])
+    elif case == "heisenberg3+drift":
+        sys = catalog.with_overrides(catalog.builtin("heisenberg3"),
+                                     drift=["x2", "0", "0"],
+                                     potential="x1^2")
+        x0, p0 = np.array([0.2, -0.1, 0.4]), np.array([0.6, 0.8, 1.1])
+    else:
+        sys = catalog.builtin(case)
+        x0 = catalog.default_base(sys) + RNG.uniform(-0.3, 0.3, sys.dim)
+        p0 = catalog.sample_covector(case, RNG)
+    z = np.concatenate([x0, p0])
+    m = z.size
+    Z, E = ham._taylor_fn(sys)(z, ham.ORDER)
+    assert E.shape == (ham.ORDER, m * (m + 1) // 2)
+    want_Z, want = oracles.full_jacobian_fn(sys)(z, ham.ORDER)
+    assert np.array_equal(Z, want_Z)
+    index, sign = ham._hessian_table(m)
+    got = E[:, index] * sign
+    scale = np.max(np.abs(want), axis=1)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale[:, None])
+    assert np.any(scale > 0.0)
+
+
 def test_taylor_coefficients_match_lie_derivatives():
     # Every node kind of the field: its jet's coefficients are the
     # symbolic Lie derivatives L_F^k z / k!.
@@ -282,7 +314,7 @@ def test_energy_drift_raises_at_the_first_drifting_time(monkeypatch):
 
 def test_non_finite_energy_raises(monkeypatch):
     # An energy that turns NaN along the flow is within no slack of the
-    # start's.
+    # start's, and is reported as not finite, not as a drift.
     sys = catalog.builtin("heisenberg3")
     p0 = np.array([0.7, -0.4, 0.9])
     ham.energy_at(sys, np.zeros(3), p0)
@@ -296,16 +328,16 @@ def test_non_finite_energy_raises(monkeypatch):
 
     monkeypatch.setitem(sys._cache, "ham_fn", nan_after_first)
     with pytest.raises(ham.IntegrationError,
-                       match=r"energy drifted by nan at t=0\.5"):
+                       match=r"^energy is not finite at t=0\.5$"):
         ham.transition_many(sys, np.zeros(3), p0, [0.5])
 
 
 def test_non_finite_start_energy_raises_at_zero():
     # The start's energy overflows: the geodesic is refused before any
-    # jet, at t = 0.
+    # jet, at t = 0, with an energy that is not finite.
     sys = catalog.builtin("heisenberg3")
     with pytest.raises(ham.IntegrationError,
-                       match=r"energy drifted by nan at t=0\.0") as err:
+                       match=r"^energy is not finite at t=0\.0$") as err:
         ham.Geodesic(sys, np.zeros(3), np.array([1e200, 0.0, 1.0]))
     assert err.value.t_last == 0.0
 

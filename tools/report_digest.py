@@ -2,8 +2,11 @@
 
 Runs a fixed set of `geoflow` commands in-process against the `src/` of
 the checkout this file belongs to, and prints one line per command: the
-argv, the exit code, and the sha256 of stdout followed by stderr.  Run it
-in two checkouts and diff the two outputs:
+argv, the exit code, the sha256 of stdout followed by stderr, and the
+Taylor jets (`hamiltonian._jet` calls) and serving batches
+(`hamiltonian.transition_many` calls) the command computed, so that a
+change's budget is diffed together with its outputs.  Run it in two
+checkouts and diff the two outputs:
 
     python3 tools/report_digest.py > digest.txt
 
@@ -34,6 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from geoflow import catalog  # noqa: E402
 from geoflow import cli  # noqa: E402
+from geoflow import hamiltonian as ham  # noqa: E402
 
 # Structures analyzed at 4 covectors each, drawn by catalog.sample_covector
 # from default_rng(41); the sampler is named by the spec's family.
@@ -193,14 +197,36 @@ def commands(tmp):
     return out
 
 
+@contextlib.contextmanager
+def _counted(owner, names):
+    """{name: calls} of the functions `names` of `owner` while open."""
+    counts = dict.fromkeys(names, 0)
+    inner = {name: getattr(owner, name) for name in names}
+
+    def counting(name):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return inner[name](*args, **kwargs)
+        return call
+
+    for name in names:
+        setattr(owner, name, counting(name))
+    try:
+        yield counts
+    finally:
+        for name in names:
+            setattr(owner, name, inner[name])
+
+
 def run(argv):
-    """(exit code, stdout + stderr) of one in-process command.  An
-    exception that escapes `main` is recorded as the code "raised" and
-    its last traceback line is appended to the output."""
+    """(exit code, stdout + stderr, jets, batches) of one in-process
+    command.  An exception that escapes `main` is recorded as the code
+    "raised" and its last traceback line is appended to the output."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr), \
-            warnings.catch_warnings():
+            warnings.catch_warnings(), \
+            _counted(ham, ["_jet", "transition_many"]) as counts:
         warnings.simplefilter("always")
         try:
             code = cli.main(argv)
@@ -209,20 +235,22 @@ def run(argv):
         except Exception as err:  # a traceback of the command line
             code = "raised"
             stderr.write("".join(traceback.format_exception_only(err)))
-    return code, stdout.getvalue() + stderr.getvalue()
+    return (code, stdout.getvalue() + stderr.getvalue(), counts["_jet"],
+            counts["transition_many"])
 
 
 def main():
     with tempfile.TemporaryDirectory() as name:
         tmp = pathlib.Path(name)
         for argv in commands(tmp):
-            code, text = run(argv)
+            code, text, jets, batches = run(argv)
             shown = [a.replace(str(tmp), "<tmp>").replace(str(ROOT), "<repo>")
                      for a in argv]
             text = text.replace(str(tmp), "<tmp>").replace(str(ROOT),
                                                            "<repo>")
             digest = hashlib.sha256(text.encode()).hexdigest()
-            print("%s\t%s\t%s" % (" ".join(shown), code, digest))
+            print("%s\t%s\t%s\tjets=%d batches=%d"
+                  % (" ".join(shown), code, digest, jets, batches))
 
 
 if __name__ == "__main__":
