@@ -11,6 +11,7 @@ import numpy as np
 import geoflow.asymptotics as asym
 import geoflow.catalog as cat
 import geoflow.flag as fl
+import geoflow.hamiltonian as ham
 import geoflow.rho as rh
 
 
@@ -19,15 +20,16 @@ def main():
     x0 = np.zeros(3)
     p0 = np.array([1.0, 0.2, 0.8])
 
-    flag = fl.flag_at(sys, x0, p0)
+    geodesic = ham.Geodesic(sys, x0, p0)
+    flag = fl.flag_from(geodesic)
     print("growth vector      :", flag.growth)
     print("geodesic dimension :", flag.dimension)
     print("young rows         :", flag.young_rows)
     print("exact constant     : %s = %.10f"
           % (flag.leading, float(flag.leading)))
 
-    slope = asym.exponent_probe(sys, x0, p0)
-    print("log-log slope      : %.7f (expect 5)" % slope)
+    order, _ = rh.volume_series_from(geodesic, flag)
+    print("order of det A     : %d (expect 5)" % order)
     print("rho                : %.2e (expect 0)" % rh.rho(sys, x0, p0))
 
     fit = asym.fit_expansion(sys, x0, p0)

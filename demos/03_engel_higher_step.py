@@ -11,6 +11,8 @@ import numpy as np
 import geoflow.asymptotics as asym
 import geoflow.catalog as cat
 import geoflow.flag as fl
+import geoflow.hamiltonian as ham
+import geoflow.rho as rh
 
 
 def main():
@@ -18,13 +20,14 @@ def main():
     x0 = np.zeros(4)
     p0 = np.array([0.8, 0.6, 0.5, -0.4])
 
-    flag = fl.flag_at(sys, x0, p0)
+    geodesic = ham.Geodesic(sys, x0, p0)
+    flag = fl.flag_from(geodesic)
     print("generic covector", tuple(float(v) for v in p0))
     print("  growth    :", flag.growth)
     print("  dimension :", flag.dimension)
     print("  constant  : %s = %.3e" % (flag.leading, float(flag.leading)))
-    print("  slope     : %.5f (expect 10)"
-          % asym.exponent_probe(sys, x0, p0))
+    print("  order     : %d (expect 10)"
+          % rh.volume_series_from(geodesic, flag)[0])
     fit = asym.fit_expansion(sys, x0, p0)
     gap = abs(fit.constant - float(flag.leading)) / float(flag.leading)
     print("  fitted C  : %.6e (rel gap %.1e)" % (fit.constant, gap))

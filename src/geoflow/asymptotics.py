@@ -43,8 +43,7 @@ from . import rho as rh
 
 __all__ = [
     "AsymptoticsError", "ExpansionFit", "fit_times", "fit_expansion_from",
-    "fit_expansion", "exponent_probe_from", "exponent_probe",
-    "ricci_oracle", "fit_report", "write_fit_csv",
+    "fit_expansion", "ricci_oracle", "fit_report", "write_fit_csv",
 ]
 
 # The expansion fit samples FIT_SAMPLES times on a geometric grid over
@@ -54,12 +53,6 @@ FIT_SAMPLES = 24
 
 # Largest accepted norm of the fit residual.
 FIT_RESIDUAL_TOL = 1e-3
-
-# The exponent probe fits PROBE_SAMPLES times on a geometric grid over
-# PROBE_WINDOW.
-PROBE_WINDOW = (1e-3, 1e-2)
-PROBE_SAMPLES = 9
-PROBE_GRID = np.geomspace(*PROBE_WINDOW, PROBE_SAMPLES)
 
 
 class AsymptoticsError(RuntimeError):
@@ -174,20 +167,6 @@ def fit_expansion(sys, x0, p0, window=FIT_WINDOW, samples=FIT_SAMPLES,
     grid = fit_times(window, samples)
     gram = rh.gram_from(geodesic, flag, [0.0] + grid)
     return fit_expansion_from(geodesic, flag, gram, grid)
-
-
-def exponent_probe_from(geodesic):
-    """Log-log slope of the volume ratio over a decade of small times; an
-    estimate of the exponent N that never consults the flag."""
-    log_r = rh.log_volume_ratios_from(geodesic, PROBE_GRID)
-    A = np.column_stack([np.ones(PROBE_SAMPLES), np.log(PROBE_GRID)])
-    coef, *_ = np.linalg.lstsq(A, log_r, rcond=None)
-    return float(coef[1])
-
-
-def exponent_probe(sys, x0, p0):
-    """exponent_probe_from on a geodesic of its own."""
-    return exponent_probe_from(ham.Geodesic(sys, x0, p0))
 
 
 def ricci_oracle(sys, x0, p0):

@@ -20,9 +20,10 @@ the levels a flag can read.
 
 The rank profiles of a time are computed once per geodesic and kept in
 it, to the level cap dim + 2, one entry per time and tuple of factors
-of RANK_TOL.  read_ahead computes, in one rank pass, the base point at
-flag_from's FLAG_FACTORS and any times at RANK_TOL alone; the stages
-read those entries and compute in one more pass only the times missing.
+of RANK_TOL.  read_ahead serves, in one batch, the times of the stages
+that the jet at t = 0 reaches, and ranks them in one pass, at RANK_TOL
+alone, with the base point at flag_from's FLAG_FACTORS; the stages read
+those entries and compute in one more pass only the times missing.
 """
 
 from __future__ import annotations
@@ -281,10 +282,16 @@ def _kept_profiles(geodesic, times, factors):
 
 
 def read_ahead(geodesic, times):
-    """One rank pass over the base point, at flag_from's factors, and the
-    times (served already), at RANK_TOL alone, each kept in the geodesic
-    for flag_from, equiregular_from and rho.gram_from to read."""
-    times = list(dict.fromkeys(float(t) for t in times))
+    """Serve, in one batch, the times that the geodesic's jet at t = 0
+    reaches, and rank them in one pass with the base point: the base at
+    flag_from's factors and the times at RANK_TOL alone, each kept in the
+    geodesic for flag_from, equiregular_from and rho.gram_from to read.
+    No jet grows here, and a failure is left to the stage that meets it."""
+    times = list(dict.fromkeys(float(t) for t in geodesic.reached(times)))
+    try:
+        geodesic.at(times)
+    except ham.IntegrationError:
+        return
     base, *results = _growth_profile(
         geodesic, [0.0] + times, geodesic.sys.dim + 2,
         [FLAG_FACTORS] + [(1.0,)] * len(times))

@@ -286,9 +286,9 @@ class Geodesic:
     before it.  `jets_at` names the jet that served each time and the
     time's offset from it, for the stages that read a jet's coefficients
     rather than the state.  `kept` holds what the stages compute at each
-    time (rank profiles, frames, densities, log-determinants) the same
-    way, so a stage reads what another stage, or one stack computed
-    ahead for several stages, already has."""
+    time (rank profiles, frames, densities) the same way, so a stage
+    reads what another stage, or one stack computed ahead for several
+    stages, already has."""
 
     @_quiet
     def __init__(self, sys, x0, p0, tol=DEFAULT_TOL):

@@ -13,9 +13,10 @@ auxiliary completion; its derivative at tau = s is rho at the flowed
 covector, independent of the completion and of the admissible extension.
 That collapses every rho evaluation into finite differences of a single
 scalar function along the flow, and makes the running integral of rho an
-exact difference G(t) - G(0).  rho_series_from reads rho a second way,
-from the volume's series in the geodesic's jet at t = 0, with no Gram
-matrix, no served time and no fit.
+exact difference G(t) - G(0).  volume_series_from reads rho a second
+way, and the order N at which the volume vanishes, from the volume's
+series in the geodesic's jet at t = 0, with no Gram matrix, no served
+time and no fit.
 
 Every stage reads a hamiltonian.Geodesic: `*_from` asks the geodesic
 for the times it needs and takes, where it needs one, the flag at the
@@ -27,20 +28,21 @@ the fit's grid.  The (sys, x0, p0) entry points build what they read.
 Each stage takes its points as one stack: gram_from evaluates the
 auxiliary bases, the rank profiles and the Gram determinants of all its
 points with one evaluator, LAPACK or matmul call per step, and
-log_volume_ratios_from takes one log-determinant call and one density
-call for all its times.  The evaluators run each point through the same
-scalar code and LAPACK treats each matrix of a stack on its own, so
-every value equals its one-point computation bit for bit.  The frames,
-rank profiles, densities and vertical log-determinants of a time are
-kept in the geodesic, so a stage computes only the times no stage and
-no read-ahead (flag.read_ahead, read_ahead) has computed: gram_from
-takes the base completion from one aux_frame_at call and assembles the
-bases from the kept frames and densities, and the fit and the exponent
-probe read one stack of volume ratios.
+log_volume_ratios_from takes one log-determinant call for all its times.
+The evaluators run each point through the same scalar code and LAPACK
+treats each matrix of a stack on its own, so every value equals its
+one-point computation bit for bit.  The frames, rank profiles and
+densities of a time are kept in the geodesic, so a stage computes only
+the times no stage and no read-ahead (flag.read_ahead) has computed:
+gram_from takes the base completion from one aux_frame_at call and
+assembles the bases from the kept frames and densities, and the fit
+reads the densities of its times, a subset of the Gram times, from
+there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -52,15 +54,19 @@ from . import hamiltonian as ham
 
 __all__ = [
     "RhoError", "gram_from", "rho_times", "rho_from", "rho",
-    "log_volume_ratios_from", "log_volume_ratios", "rho_series_from",
-    "read_ahead",
+    "log_volume_ratios_from", "log_volume_ratios", "volume_series_from",
 ]
 
 # Step of the finite differences of G that give rho.
 FD_STEP = 1e-3
 
-# Points of the circle at which rho_series_from evaluates det A(t).
+# Points of the circle at which volume_series_from evaluates det A(t),
+# unless orders up to N + 1 need more.
 SERIES_POINTS = 64
+
+# A term of det A's series on that circle is negligible below this
+# fraction of the largest term.
+SERIES_FLOOR = 1e-3
 
 
 class RhoError(RuntimeError):
@@ -197,35 +203,11 @@ def _densities(geodesic, times):
     """The density at each of the times, each evaluated once per
     geodesic; GeometryError, indexed in `times`, at the first that is not
     finite or not positive."""
-    values = np.array(_density_values(geodesic, times))
+    values = np.array(geodesic.kept("density", times, lambda new: (
+        geodesic.sys.density_values(geodesic.at(new)[0]).tolist())))
     if not np.all(np.isfinite(values) & (values > 0.0)):
         geodesic.sys.density_at(geodesic.at(times)[0])
     return values
-
-
-def _density_values(geodesic, times):
-    """The density's formula at each of the times, evaluated once per
-    geodesic, unchecked."""
-    return geodesic.kept("density", times, lambda new: (
-        geodesic.sys.density_values(geodesic.at(new)[0]).tolist()))
-
-
-def _log_dets(geodesic, times):
-    """log|det| of the vertical Jacobian at each of the times, each
-    computed once per geodesic."""
-    return geodesic.kept("log_det", times, lambda new: ham.signed_log_det(
-        ham.vertical_jacobian(geodesic.at(new)[2], geodesic.sys.dim))[1]
-        .tolist())
-
-
-def read_ahead(geodesic, gram_times, ratio_times):
-    """The densities at gram_times and ratio_times, from one evaluation,
-    and the vertical log-determinants at ratio_times, from one stack,
-    kept in the geodesic for gram_from and log_volume_ratios_from.  The
-    times must be served already; a failing density is left to the
-    stage that reads it."""
-    _density_values(geodesic, gram_times + ratio_times)
-    _log_dets(geodesic, ratio_times)
 
 
 def rho_times(s=0.0):
@@ -257,12 +239,13 @@ def rho(sys, x0, p0):
 
 def log_volume_ratios_from(geodesic, times):
     """log of the volume ratio at each time, read from the geodesic's
-    transition matrices, with one log-determinant call and one density
-    call for all of them that the geodesic does not keep yet.  A density that fails at a point of the flow
-    raises RhoError naming its time; one that fails at the base point is
-    an input error."""
+    transition matrices, with one log-determinant call for all of them
+    and one density call for those the geodesic does not keep yet.  A
+    density that fails at a point of the flow raises RhoError naming its
+    time; one that fails at the base point is an input error."""
     log_m0 = geodesic.log_density0
-    lds = _log_dets(geodesic, times)
+    lds = ham.signed_log_det(ham.vertical_jacobian(
+        geodesic.at(times)[2], geodesic.sys.dim))[1].tolist()
     try:
         densities = _densities(geodesic, times)
     except geo.GeometryError as err:
@@ -277,31 +260,57 @@ def log_volume_ratios(sys, x0, p0, times):
     return log_volume_ratios_from(ham.Geodesic(sys, x0, p0), times)
 
 
-def rho_series_from(geodesic, flag):
-    """rho(lambda) from the volume's series at t = 0; `flag` is flag_from
-    of the geodesic, N its geodesic dimension: with det A(t) = t^N (c0 +
-    c1 t + ...) for the vertical block A of the transition matrix and
-    m(x(t)) = m0 + m1 t + ... along the flow, log r(t) = log|c0| + N
-    log|t| + (c1/c0 + m1/m0) t + O(t^2) (ABP, arXiv 1602.08745).  c0 and
-    c1 are read off det A on the circle |w| = min(h, 1), h being the
-    jet's step, by a discrete Fourier transform.  They take A's
+@functools.cache
+def _fourier(points):
+    """The turns 2 pi i j / points of a circle's points, and the matrix
+    whose row k takes a series' values there to its order-k term,
+    exp(-k turns) / points."""
+    turns = 2j * np.pi * np.arange(points) / points
+    return turns, np.exp(-np.outer(np.arange(points), turns)) / points
+
+
+def _det_series(geodesic, flag):
+    """(terms, radius): the terms a_k r^k, k < P, of det A(w) = sum_k a_k
+    w^k for the vertical block A of the transition matrix, on the circle
+    |w| = r = min(h, 1), h being the jet's step; `flag` is flag_from of
+    the geodesic, N its geodesic dimension.  They are read by a discrete
+    Fourier transform of det A at P points of the circle, P being
+    SERIES_POINTS or, where orders up to N + 1 would alias there, the
+    next power of two above N + 1.  The orders N and N + 1 take A's
     coefficients up to order 2s at step s, so the jet's ORDER serves
     steps up to ORDER / 2, and a deeper flag raises."""
     if 2 * flag.step > ham.ORDER:
         raise RhoError("the series of rho needs the flow's Taylor order %d"
                        " at step %d, beyond its jet order %d"
                        % (2 * flag.step, flag.step, ham.ORDER))
-    geodesic.log_density0    # a failing base density is an input error
-    sys, n = geodesic.sys, geodesic.sys.dim
+    n = geodesic.sys.dim
     C, h = geodesic.start_jet
     A = C[:, 2 * n:].reshape(-1, 2 * n, 2 * n)[:, :n, n:]
     radius = min(h, 1.0)
-    turns = 2j * np.pi * np.arange(SERIES_POINTS) / SERIES_POINTS
+    turns, fourier = _fourier(
+        max(SERIES_POINTS, 2 ** (flag.dimension + 1).bit_length()))
     w = radius * np.exp(turns)
     dets = np.linalg.det(np.tensordot(w[:, None] ** np.arange(len(A)), A, 1))
+    return fourier @ dets, radius
+
+
+def volume_series_from(geodesic, flag):
+    """(order, rho(lambda)) from the volume's series at t = 0; `flag` is
+    flag_from of the geodesic, N its geodesic dimension.  With det A(t) =
+    t^N (c0 + c1 t + ...) for the vertical block A of the transition
+    matrix and m(x(t)) = m0 + m1 t + ... along the flow, log r(t) =
+    log|c0| + N log|t| + (c1/c0 + m1/m0) t + O(t^2) (ABP, arXiv
+    1602.08745).  order is the lowest order of det A's series whose term
+    (_det_series) is not negligible against the largest, below
+    SERIES_FLOOR times it: N wherever the volume vanishes as the flag
+    says.  rho reads c0 and c1 at the orders N and N + 1."""
+    terms, radius = _det_series(geodesic, flag)
+    geodesic.log_density0    # a failing base density is an input error
+    sizes = np.abs(terms)
+    order = int(np.argmax(sizes > SERIES_FLOOR * sizes.max()))
     N = flag.dimension
-    c0, c1 = np.exp(-np.outer([N, N + 1], turns)) @ dets
+    sys, n = geodesic.sys, geodesic.sys.dim
     density = sys.cached("density_series", lambda: ex.compile_taylor(
         ham._hamiltonian_field(sys), [sys.density]))
-    _, ((m0,), (m1,)) = density(C[0, :2 * n], 2)
-    return float((c1 / c0).real / radius + m1 / m0)
+    _, ((m0,), (m1,)) = density(geodesic.start_jet[0][0, :2 * n], 2)
+    return order, float((terms[N + 1] / terms[N]).real / radius + m1 / m0)

@@ -22,9 +22,12 @@
   density, and the determinant of a square frame.
 - g_rel, rho_flow_from, rho_flow and scaling_checks: the running
   integral of rho, the volume-flow estimate of rho (the odd part of
-  log r fitted on a window, a reference for rho.rho_series_from) on a
-  geodesic and at one covector, and the homogeneity of both under
+  log r fitted on a window, a reference for rho.volume_series_from) on
+  a geodesic and at one covector, and the homogeneity of both under
   covector scaling.
+- exponent_probe_from: the log-log slope of the served volume ratios
+  over a decade of small times, the estimate of N that analyze checked
+  before it read the order of det A's series, kept as its reference.
 - riemannian_rho_field and riemannian_divergence_check: the closed form
   of rho for a full-rank frame, and the divergence identity it satisfies.
 
@@ -59,6 +62,12 @@ SCALING_TIMES = (0.05, 0.1, 0.2)
 RHO_FLOW_WINDOW = (3e-2, 1.5e-1)
 RHO_FLOW_SAMPLES = 20
 RHO_FLOW_GRID = np.geomspace(*RHO_FLOW_WINDOW, RHO_FLOW_SAMPLES)
+
+# The exponent probe fits PROBE_SAMPLES times on a geometric grid over
+# PROBE_WINDOW.
+PROBE_WINDOW = (1e-3, 1e-2)
+PROBE_SAMPLES = 9
+PROBE_GRID = np.geomspace(*PROBE_WINDOW, PROBE_SAMPLES)
 
 
 # ----------------------------------------------------------------------
@@ -447,6 +456,15 @@ def rho_flow(sys, x0, p0, dimension=None):
     if dimension is None:
         dimension = fl.flag_from(geodesic).dimension
     return rho_flow_from(geodesic, dimension)
+
+
+def exponent_probe_from(geodesic):
+    """Log-log slope of the volume ratio over a decade of small times; an
+    estimate of the exponent N that never consults the flag."""
+    log_r = rh.log_volume_ratios_from(geodesic, PROBE_GRID)
+    A = np.column_stack([np.ones(PROBE_SAMPLES), np.log(PROBE_GRID)])
+    coef, *_ = np.linalg.lstsq(A, log_r, rcond=None)
+    return float(coef[1])
 
 
 def scaling_checks(sys, x0, p0, factors):

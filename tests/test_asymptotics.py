@@ -138,7 +138,7 @@ def test_exponent_probe_agrees_with_flag_dimension():
     ]
     for name, x0, p0, expected, tol in probes:
         sys = cat.builtin(name)
-        slope = asym.exponent_probe(sys, x0, p0)
+        slope = oracles.exponent_probe_from(ham.Geodesic(sys, x0, p0))
         assert slope == pytest.approx(expected, abs=tol), name
 
 

@@ -463,29 +463,29 @@ def test_report_json_is_stable_under_roundtrip(capsys):
 
 
 # analyze_report values recorded before every stage read one geodesic per
-# covector: (covector, rho gram, rho flow, fitted C, trace_r, exponent
-# slope) at the chart origin.
+# covector: (covector, rho gram, rho flow, fitted C, trace_r) at the chart
+# origin, and the geodesic dimension N, the exact order of det A's series.
 GOLDEN = {
     "heisenberg3": ([1.0, 0.2, 0.8], 9.055256544598933e-13,
                     -2.490511406213542e-14, 0.08333333310648401,
-                    0.25597377059568405, 4.999998447322645),
+                    0.25597377059568405, 5),
     "heisenberg5:1,2": ([0.5, -0.4, 0.6, 0.3, 1.1], 2.9605947323337506e-13,
                         6.248916593759567e-14, 0.08333331800111028,
-                        2.606573189797711, 6.999984179983247),
+                        2.606573189797711, 7),
     "engel": ([0.8, 0.6, 0.5, -0.4], -0.3750000000005369,
               -0.37500031048410376, 0.00011574073375599939,
-              -0.2269843519396305, 9.99860913025234),
+              -0.2269843519396305, 10),
     "sphere2": ([0.6, 0.8], 0.0, 0.0, 0.9999999947100635,
-                0.2499490341765579, 1.999998483713005),
+                0.2499490341765579, 2),
     "euclidean:3:psi=0.3*x1": ([0.6, -0.8, 0.5], 0.18000000000001348,
                                0.18000000000000074, 0.9999999999999957,
-                               -2.442258153492567e-13, 3.000667411123509),
+                               -2.442258153492567e-13, 3),
 }
 
 
 def test_analyze_matches_recorded_values():
     # within the tolerances of analyze_report's own checks
-    for name, (cov, rho_g, rho_f, const, trace, slope) in GOLDEN.items():
+    for name, (cov, rho_g, rho_f, const, trace, order) in GOLDEN.items():
         system = catalog.builtin(name)
         report, code = cli.analyze_report(system, np.zeros(system.dim),
                                           np.array(cov))
@@ -494,8 +494,8 @@ def test_analyze_matches_recorded_values():
         assert report["rho"]["flow"] == pytest.approx(rho_f, abs=1e-5)
         assert report["fit"]["constant"] == pytest.approx(const, rel=1e-3)
         assert report["fit"]["trace_r"] == pytest.approx(trace, abs=1e-2)
-        assert report["exponent_probe"]["slope"] == pytest.approx(slope,
-                                                                  abs=0.1)
+        assert report["exponent"] == {"series_order": order,
+                                      "expected": order}
 
 
 def test_analyze_serves_each_time_once(monkeypatch):
@@ -514,13 +514,12 @@ def test_analyze_serves_each_time_once(monkeypatch):
     _, code = cli.analyze_report(system, np.zeros(4),
                                  np.array([0.8, 0.6, 0.5, -0.4]))
     assert code == 0
-    # the growth checks, rho's nodes, the fit and the exponent probe;
-    # rho's second path reads the t = 0 jet and serves no time
+    # the growth checks, rho's nodes and the fit; rho's second path and
+    # the exponent check read the t = 0 jet and serve no time
     reads = ([0.2 * i / 4 for i in range(1, 5)] + rh.rho_times()
-             + list(np.geomspace(1e-2, 2e-1, 24))
-             + list(np.geomspace(1e-3, 1e-2, 9)))
+             + list(np.geomspace(1e-2, 2e-1, 24)))
     assert sorted(served) == sorted({float(t) for t in reads})
-    assert len(served) == 38
+    assert len(served) == 31
     assert len(jets) == 1
 
 
@@ -575,9 +574,8 @@ def test_one_base_flag_per_covector(monkeypatch, tmp_path, capsys):
     # serves them, and one rank pass over the base, the 4 points along the
     # flow and the Gram points serves the three stages that read ranks;
     # they made 3 batches and 3 passes, one per stage.  The Gram pass
-    # takes the base completion once and reads the kept frames and
-    # densities, and the fit and the exponent probe read one stack of
-    # volume ratios.
+    # takes the base completion once and reads the kept frames, and the
+    # fit reads one stack of volume ratios.
     assert (len(batches), len(profiles), len(columns)) == (1, 1, 1)
     assert (len(auxes), len(log_dets)) == (1, 1)
 
@@ -596,15 +594,19 @@ def test_analyze_lapack_budget(monkeypatch):
     # The level Gram determinants are eliminated, not read from an SVD,
     # which took the SVDs from 17 to 14, and one rank pass of 3 levels
     # serves the base flag, the growth along the flow and the Gram points,
-    # which took them to 8: 3 for the ranks, 5 for the Gram levels.
+    # which took them to 8: 3 for the ranks, 5 for the Gram levels.  The
+    # exponent check reads det A's series, so the fit makes the one
+    # least-squares solve.
     svds = _counting(monkeypatch, np.linalg, "svd")
     slogdets = _counting(monkeypatch, np.linalg, "slogdet")
+    solves = _counting(monkeypatch, np.linalg, "lstsq")
     system = catalog.builtin("engel")
     _, code = cli.analyze_report(system, np.zeros(4),
                                  np.array([0.8, 0.6, 0.5, -0.4]))
     assert code == 0
     assert len(svds) <= 8
     assert len(slogdets) <= 1
+    assert len(solves) == 1
 
 
 def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
@@ -618,9 +620,9 @@ def test_flag_point_evaluates_frame_and_controls_once(monkeypatch):
     # energy along the flow, which took it to 23, and the flag reads no
     # control jet and no bracket evaluator, which took it to 17.  One
     # rank pass evaluates the frames of all the points the stages read,
-    # the Gram pass reads them and one density stack, and the fit and the
-    # probe read one volume-ratio stack: 8, and 2 frame evaluations, one
-    # of them the base completion's.
+    # the Gram pass reads them and one density stack, and the fit reads
+    # those densities: 8, and 2 frame evaluations, one of them the base
+    # completion's.
     frames = _counting(monkeypatch, geo.ControlSystem, "frame_matrix")
     evals = [0]
     inner = expr.compile_exprs
@@ -661,20 +663,26 @@ def test_analyze_compiles_one_control_evaluator(monkeypatch):
 def test_analyze_checks_the_flag_before_integrating(monkeypatch):
     # The base flag reads the jet at t = 0: a degenerate or non-ample
     # covector exits 2 with that one jet, after the one batch that serves
-    # the times the jet reaches.
+    # the times the jet reaches and the one rank pass there, and with no
+    # volume work: no log-determinant and no density, at the base or
+    # along the flow.
     calls = _counting(monkeypatch, ham, "transition_many")
     jets = _counting(monkeypatch, ham, "_jet")
+    log_dets = _counting(monkeypatch, ham, "signed_log_det")
+    densities = _counting(monkeypatch, geo.ControlSystem, "density_values")
     system = catalog.builtin("engel")
     report, code = cli.analyze_report(system, np.zeros(4), np.zeros(4))
     assert code == 2
     assert report["status"].startswith("degenerate covector")
     assert (len(jets), len(calls)) == (1, 1)
+    assert (len(log_dets), len(densities)) == (0, 0)
     del jets[:], calls[:]
     report, code = cli.analyze_report(system, np.zeros(4),
                                       np.array([0.0, 1.0, 0.0, 0.0]))
     assert code == 2
     assert report["status"] == "non-ample covector"
     assert (len(jets), len(calls)) == (1, 1)
+    assert (len(log_dets), len(densities)) == (0, 0)
 
 
 @pytest.mark.parametrize("step", [6, 9])
@@ -692,6 +700,19 @@ def test_deep_rank_one_chains(tmp_path, capsys, step):
     assert flag["geodesic_dimension"] == step ** 2
     assert (Fraction(flag["leading_constant"]["rational"])
             == exact.det_formula(step))
+
+
+@pytest.mark.parametrize("step", range(3, 10))
+def test_rank_one_chains_pass_the_fit(step):
+    # det A(t) = c t^(s^2): the exponent check reads that order from the
+    # series, past 64 points of the circle from step 8 (N = 64) on.
+    system = geo.structure_from_dict(rank_one_chain(step))
+    report, code = cli.analyze_report(
+        system, np.zeros(step), np.array(
+            [float(v) for v in _chain_covector(step).split(",")]))
+    assert code == 0, report["status"]
+    assert report["exponent"] == {"series_order": step ** 2,
+                                  "expected": step ** 2}
 
 
 def test_a_step_beyond_the_jet_order_fails_by_name(tmp_path, capsys,
@@ -763,7 +784,7 @@ def test_reading_ahead_changes_no_result(monkeypatch):
         return out
 
     ahead = outcomes()
-    monkeypatch.setattr(cli, "_read_ahead", lambda *args: None)
+    monkeypatch.setattr(fl, "read_ahead", lambda *args: None)
     assert outcomes() == ahead
     raised = {result[0].__name__ for result in ahead[::2]
               if isinstance(result[0], type)}

@@ -124,9 +124,10 @@ def test_dense_output_matches_step_ended_transitions():
     sys = catalog.builtin("engel")
     x0 = np.zeros(4)
     p0 = np.array([0.9, 0.6, 0.4, -0.3])
-    # the times one analyze_report reads with its default settings: the
-    # growth checks, rho's nodes, the volume-flow grid, the fit and the
-    # exponent probe
+    # the growth checks, rho's nodes and the fit of one analyze_report
+    # with its default settings, and the times of two test references:
+    # the mirrored grid of oracles.rho_flow_from and the decade of
+    # oracles.exponent_probe_from
     flow_grid = list(np.geomspace(3e-2, 1.5e-1, 20))
     times = ([0.05, 0.1, 0.15, 0.2] + rh.rho_times() + flow_grid
              + [-t for t in flow_grid] + asym.fit_times()

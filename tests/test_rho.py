@@ -8,6 +8,7 @@ import pytest
 
 from geoflow import asymptotics as asym
 from geoflow import catalog
+from geoflow import expr as ex
 from geoflow import flag as fl
 from geoflow import geometry as geo
 from geoflow import hamiltonian as ham
@@ -29,7 +30,7 @@ WE3_GRAD = np.array([0.3, -0.2, 0.5])
 
 def _series(sys, x0, p0):
     geodesic = ham.Geodesic(sys, x0, p0)
-    return rh.rho_series_from(geodesic, fl.flag_from(geodesic))
+    return rh.volume_series_from(geodesic, fl.flag_from(geodesic))[1]
 
 
 def test_euclidean_rho_vanishes():
@@ -121,6 +122,56 @@ def test_series_holds_for_a_dimension_beyond_the_jet_order():
     x0, p0 = np.zeros(6), np.array([0.8, 0.6, 0.5, -0.4, 0.3, 0.2])
     assert fl.flag_at(sys, x0, p0).dimension == 26 > ham.ORDER
     assert abs(_series(sys, x0, p0) - rh.rho(sys, x0, p0)) <= 1e-10
+
+
+def test_series_leading_term_is_the_young_constant():
+    # log|c0| - (2 G(0) - 2 log m(x0)) = log C: det A's coefficient at
+    # order N, with the Gram offset the fit subtracts, is the exact Young
+    # diagram constant, read with no fit and no served time.
+    names = ["euclidean:3", "euclidean:2:psi=0.3*x1 - x2^2", "sphere2",
+             "heisenberg3", "heisenberg5:1,2", "heisenberg5:2,5", "engel"]
+    for name in names:
+        sys = catalog.builtin(name)
+        x0 = catalog.default_base(sys)
+        rng = np.random.default_rng(41)
+        for _ in range(4):
+            geodesic = ham.Geodesic(sys, x0, catalog.sample_covector(name,
+                                                                     rng))
+            flag = fl.flag_from(geodesic)
+            N = flag.dimension
+            terms, radius = rh._det_series(geodesic, flag)
+            log_c0 = math.log(abs(terms[N])) - N * math.log(radius)
+            offset = 2.0 * (rh.gram_from(geodesic, flag, [0.0])[0.0]
+                            - geodesic.log_density0)
+            assert log_c0 - offset == pytest.approx(
+                math.log(flag.leading), abs=1e-12), name
+
+
+def test_volume_change_law():
+    # rho_{e^psi m} - rho_m = dpsi(x0) . xdot(0), on both paths of rho.
+    cases = [
+        ("heisenberg3", [0.2, -0.1, 0.4], "0.4*x2 + x1*x3"),
+        ("engel", [0.3, -0.2, 0.1, 0.5], "0.4*x2 + 0.1*x4 + x1*x3"),
+        ("heisenberg5:1,2", [0.1, 0.3, -0.2, 0.4, -0.1],
+         "0.4*x2 + 0.1*x4 + x1*x3 - x5^2"),
+    ]
+    rng = np.random.default_rng(47)
+    for name, x0, psi in cases:
+        sys = catalog.builtin(name)
+        psi = ex.parse(psi, ex.variables(sys.dim))
+        weighted = geo.ControlSystem(
+            dim=sys.dim, rank=sys.rank, X0=sys.X0, frame=sys.frame, Q=sys.Q,
+            density=ex.Mul([sys.density, ex.Call("exp", psi)]))
+        x0 = np.array(x0)
+        dpsi = np.array([ex.evaluate(ex.diff(psi, i), x0)
+                         for i in range(sys.dim)])
+        for _ in range(3):
+            p0 = catalog.sample_covector(name, rng)
+            F = sys.frame_matrix(x0)
+            want = float(dpsi @ (sys.drift_at(x0) + F @ (F.T @ p0)))
+            for path in (rh.rho, _series):
+                gap = path(weighted, x0, p0) - path(sys, x0, p0)
+                assert gap == pytest.approx(want, abs=1e-10), name
 
 
 def _rho_from(sys, x0, p0, times):

@@ -75,9 +75,13 @@ def rank_one_chain(step):
 
 
 # Step 6 reads the flow's jet to order 6 for the flag and 12 for rho's
-# series; step 11 would need order 22 > ORDER for the series.
+# series; step 11 would need order 22 > ORDER for the series.  Steps 8
+# and 9 (N = 64 and 81), analyzed with the fit at the first 8 and 9
+# entries of the step-11 covector, are the first whose det A series
+# needs more than rho.SERIES_POINTS points of the circle.
 CHAIN6_COVECTORS = ["1,0.3,-0.2,0.1,0.5,-0.4", "0.8,-0.6,0,0.2,0,0.1"]
 CHAIN11_COVECTOR = "1,0.3,-0.2,0.1,0.5,-0.4,0.2,0,0.1,-0.1,0.3"
+DEEP_CHAIN_STEPS = (8, 9)
 
 SWEEPS = {
     "heisenberg3": ["1,0,1", "0,0,1", "1,0", "0.6,0.8,nan", "0.6,0.8,1.1",
@@ -104,6 +108,8 @@ def commands(tmp):
              "overflowing-density": OVERFLOWING_DENSITY,
              "degenerating-frame": DEGENERATING_FRAME,
              "chain6": rank_one_chain(6), "chain11": rank_one_chain(11)}
+    files.update(("chain%d" % step, rank_one_chain(step))
+                 for step in DEEP_CHAIN_STEPS)
     for stem, data in files.items():
         (tmp / (stem + ".json")).write_text(json.dumps(data))
     for name, rows in SWEEPS.items():
@@ -175,6 +181,11 @@ def commands(tmp):
          CHAIN6_COVECTORS[0], "--no-fit"],
         ["analyze", "--file", str(tmp / "chain11.json"), "--covector",
          CHAIN11_COVECTOR, "--no-fit"],
+    ]
+    out += [["analyze", "--file", str(tmp / ("chain%d.json" % step)),
+             "--covector", ",".join(CHAIN11_COVECTOR.split(",")[:step])]
+            for step in DEEP_CHAIN_STEPS]
+    out += [
         ["analyze", "euclidean:2", "--covector", "1,0,0"],
         ["analyze", "nosuchspace", "--covector", "1"],
         ["analyze", "heisenberg3:7", "--covector", "0.6,0.8,1.1"],
